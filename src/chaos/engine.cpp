@@ -62,13 +62,7 @@ void ChaosEngine::heal(std::size_t index) {
               static_cast<std::uint64_t>(ev.type));
   }
   if (ev.type == FaultType::kCrash) {
-    for (const NodeId id : ev.nodes) {
-      switch (ev.crash_mode) {
-        case CrashMode::kDefault: exp_.recover_node(id); break;
-        case CrashMode::kDurable: exp_.recover_node(id, RecoveryMode::kDurable); break;
-        case CrashMode::kAmnesia: exp_.recover_node(id, RecoveryMode::kAmnesia); break;
-      }
-    }
+    for (const NodeId id : ev.nodes) exp_.recover_node(id, ev.recovery);
     return;
   }
   if (active_[index]) {

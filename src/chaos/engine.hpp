@@ -8,7 +8,7 @@
 //    net/fault.hpp chain members, added on activation and removed on heal;
 //  * crash events call Experiment::crash_node at `start` and
 //    Experiment::recover_node at `end`, rebuilding the node from its
-//    persisted BlockStore/CommitLog state.
+//    write-ahead log (or from nothing, for m=amnesia).
 //
 // Probabilistic faults derive their PRNG streams from (seed, event index),
 // so a (schedule, seed) pair replays bit-identically.

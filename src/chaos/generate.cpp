@@ -94,7 +94,6 @@ FaultSchedule generate_schedule(const GenerateOptions& opt, std::uint64_t seed) 
         break;
       case 6: {
         ev.type = FaultType::kCrash;
-        ev.crash_mode = opt.crash_mode;
         crash_used = true;
         const std::size_t picks = 1 + prng.next_below(opt.crash_pool);
         for (std::size_t p = 0; p < picks; ++p) {
@@ -121,7 +120,6 @@ FaultSchedule generate_schedule(const GenerateOptions& opt, std::uint64_t seed) 
     for (std::size_t c = 0; c < crashes; ++c) {
       FaultEvent ev;
       ev.type = FaultType::kCrash;
-      ev.crash_mode = opt.crash_mode;
       const std::int64_t lo = static_cast<std::int64_t>(c) * seg;
       const std::int64_t start_ms = prng.next_range(lo, lo + seg - 150);
       const std::int64_t end_ms = prng.next_range(start_ms + 100, lo + seg - 1);

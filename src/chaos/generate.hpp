@@ -6,8 +6,9 @@
 //    with a fault-free window in which liveness must return;
 //  * crash-recovery targets are drawn from a fixed pool of at most
 //    `crash_pool` low node ids, and crash_pool + statically-faulty <= f —
-//    a recovered node may re-send votes (volatile state is not persisted),
-//    so it is budgeted against the adversary like any other faulty node;
+//    a crashed node is silent for its window, so it is budgeted against
+//    the adversary like any other faulty node. Generated crashes recover
+//    durably (no m= key);
 //  * partitions/drops/delays are unconstrained: they may only hurt liveness
 //    while active, never safety.
 #pragma once
@@ -30,9 +31,6 @@ struct GenerateOptions {
   std::size_t max_events = 6;
   /// Largest delay spike / burst, ms granularity.
   Duration max_delay = milliseconds(400);
-  /// Recovery mode stamped on generated crash events (kDefault = use the
-  /// runner's configured mode, printed without an m= key).
-  CrashMode crash_mode = CrashMode::kDefault;
   /// Crash-heavy bias: several non-overlapping crash windows per schedule
   /// (plus the usual background faults) instead of at most one.
   bool crash_heavy = false;

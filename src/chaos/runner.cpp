@@ -104,13 +104,11 @@ ChaosReport run_chaos(const ChaosRunConfig& cfg) {
   // adv() placements become framework adversaries, built before start (a
   // node cannot turn Byzantine mid-run); the engine never arms the events.
   ecfg.adversaries = cfg.schedule.adversaries();
-  ecfg.recovery = cfg.recovery;
   ecfg.wal = cfg.wal;
-  ecfg.enable_wal = cfg.enable_wal || cfg.recovery == RecoveryMode::kDurable ||
-                    cfg.schedule.wants_wal();
+  ecfg.enable_wal = cfg.enable_wal || cfg.schedule.wants_wal();
 
   Experiment e(ecfg);
-  ConformanceChecker checker = make_conformance_checker(e, cfg.schedule.crash_targets());
+  ConformanceChecker checker = make_conformance_checker(e, cfg.schedule.amnesia_targets());
   e.network().set_tap([&checker](NodeId from, const Message& m) { checker.observe(from, m); });
 
   ChaosEngine engine(e, cfg.schedule, cfg.seed);

@@ -2,9 +2,10 @@
 // invariant suite:
 //  * safety — cross-node commit-log consistency, checked both at the heal
 //    point and at the end of the run;
-//  * conformance — behavioural rules over the message trace (crash-recovery
-//    targets exempt: volatile vote state is not persisted, so they may
-//    legitimately re-send);
+//  * conformance — behavioural rules over the message trace. Durably
+//    recovered nodes replay their votes from the WAL and refuse re-votes, so
+//    the rules hold for them too; only m=amnesia targets are exempt, since
+//    forgetting their votes is the point of that mode;
 //  * liveness after heal — every honest node's commit log must grow during
 //    the fault-free tail;
 //  * chain shape — committed heights are dense (no gaps).
@@ -49,10 +50,8 @@ struct ChaosRunConfig {
   /// the tracer's event digest is folded into the report digest, so replay
   /// verification covers the trace stream too.
   obs::Tracer* tracer = nullptr;
-  /// Default recovery mode for crash events without an explicit `m=` key.
-  RecoveryMode recovery = RecoveryMode::kInMemory;
-  /// Give honest nodes a WAL. Auto-enabled when the default recovery mode is
-  /// durable or any schedule event carries m=durable.
+  /// Give honest nodes a WAL. Always on when the schedule has a crash event
+  /// (FaultSchedule::wants_wal).
   bool enable_wal = false;
   /// Fsync model / compaction threshold for the per-node WALs.
   wal::WalOptions wal;

@@ -7,15 +7,6 @@
 
 namespace moonshot::chaos {
 
-const char* crash_mode_tag(CrashMode m) {
-  switch (m) {
-    case CrashMode::kDefault: return "default";
-    case CrashMode::kDurable: return "durable";
-    case CrashMode::kAmnesia: return "amnesia";
-  }
-  return "?";
-}
-
 const char* fault_type_tag(FaultType t) {
   switch (t) {
     case FaultType::kPartition: return "part";
@@ -83,8 +74,8 @@ std::string FaultEvent::to_string() const {
         if (i) os << ',';
         os << nodes[i];
       }
-      // kDefault is never printed: pre-WAL schedule strings round-trip as-is.
-      if (crash_mode != CrashMode::kDefault) os << ";m=" << crash_mode_tag(crash_mode);
+      // Durable is the default and never printed.
+      if (recovery == RecoveryMode::kAmnesia) os << ";m=amnesia";
       break;
     case FaultType::kBurst:
       os << ";d=" << delay.count() / 1'000'000;
@@ -117,10 +108,10 @@ TimePoint FaultSchedule::last_heal() const {
   return t;
 }
 
-std::vector<NodeId> FaultSchedule::crash_targets() const {
+std::vector<NodeId> FaultSchedule::amnesia_targets() const {
   std::vector<NodeId> out;
   for (const FaultEvent& e : events) {
-    if (e.type != FaultType::kCrash) continue;
+    if (e.type != FaultType::kCrash || e.recovery != RecoveryMode::kAmnesia) continue;
     for (const NodeId id : e.nodes) {
       if (std::find(out.begin(), out.end(), id) == out.end()) out.push_back(id);
     }
@@ -130,7 +121,7 @@ std::vector<NodeId> FaultSchedule::crash_targets() const {
 
 bool FaultSchedule::wants_wal() const {
   for (const FaultEvent& e : events) {
-    if (e.type == FaultType::kCrash && e.crash_mode == CrashMode::kDurable) return true;
+    if (e.type == FaultType::kCrash) return true;
   }
   return false;
 }
@@ -307,8 +298,8 @@ bool parse_kv(std::string_view param, FaultEvent& ev) {
   if (kv[0] == "n") return parse_node_list(kv[1], ev.nodes);
   if (kv[0] == "m") {
     if (ev.type != FaultType::kCrash) return false;
-    if (kv[1] == "durable") ev.crash_mode = CrashMode::kDurable;
-    else if (kv[1] == "amnesia") ev.crash_mode = CrashMode::kAmnesia;
+    if (kv[1] == "durable") ev.recovery = RecoveryMode::kDurable;
+    else if (kv[1] == "amnesia") ev.recovery = RecoveryMode::kAmnesia;
     else return false;
     return true;
   }

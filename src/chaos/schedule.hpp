@@ -9,8 +9,8 @@
 //   drop(0-2000;p=50;links=0>1)      probabilistic per-link drop
 //   dup(0-2000;p=20)                 probabilistic duplication (all links)
 //   delay(0-2000;d=200;p=100)        per-link delay spike of d ms
-//   crash(200-1500;n=2)              crash node 2 at 200ms, rebuild at 1500ms
-//   crash(200-1500;n=2;m=durable)    same, but recover by replaying the WAL
+//   crash(200-1500;n=2)              crash node 2 at 200ms, rebuild it from
+//                                    its WAL at 1500ms (m=durable says so too)
 //   crash(200-1500;n=2;m=amnesia)    same, but the disk is lost too
 //   burst(0-1000;d=300)              adversarial delay burst on all traffic
 //   mc(40-40;k=d;r=2;p=1;y=3;u=0)    model-checker choice: deliver the 0th
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "adversary/spec.hpp"
+#include "harness/experiment.hpp"
 #include "net/fault.hpp"
 #include "support/time.hpp"
 #include "types/ids.hpp"
@@ -56,16 +57,6 @@ enum class FaultType {
 };
 const char* fault_type_tag(FaultType t);
 
-/// Per-event recovery mode for kCrash (grammar key `m=`). kDefault defers to
-/// the run configuration and is never printed, so schedules without the key
-/// round-trip byte-for-byte.
-enum class CrashMode {
-  kDefault,  // use the run's configured RecoveryMode
-  kDurable,  // replay the node's WAL (m=durable)
-  kAmnesia,  // disk lost: wipe the WAL, cold start (m=amnesia)
-};
-const char* crash_mode_tag(CrashMode m);
-
 struct FaultEvent {
   FaultType type = FaultType::kPartition;
   /// Active window [start, end): the fault arms at `start` and heals at
@@ -77,7 +68,9 @@ struct FaultEvent {
   std::vector<NodeId> nodes;                // kCrash
   int percent = 100;                        // trigger probability, 0..100
   Duration delay = Duration(0);             // kDelay / kBurst spike size
-  CrashMode crash_mode = CrashMode::kDefault;  // kCrash recovery mode
+  /// kCrash recovery (grammar key `m=`). Durable unless the event says
+  /// m=amnesia, which is the only mode ever printed.
+  RecoveryMode recovery = RecoveryMode::kDurable;
 
   // kMcChoice only. The explorer emits counterexamples as zero-width mc()
   // events; src/mc/ replays them by matching the pending-event frontier, and
@@ -110,10 +103,12 @@ struct FaultSchedule {
   /// Latest heal time over all events (zero when empty): after this point
   /// the network is fault-free and liveness must return.
   TimePoint last_heal() const;
-  /// Node ids named by crash events (recovery-exempt for conformance).
-  std::vector<NodeId> crash_targets() const;
-  /// True when any crash event requests durable (WAL) recovery, so runners
-  /// can auto-enable the write-ahead log.
+  /// Node ids named by m=amnesia crash events: they may vote twice, so the
+  /// conformance rules exempt them.
+  std::vector<NodeId> amnesia_targets() const;
+  /// True when the schedule has any crash event. Every runner that replays
+  /// a schedule enables the write-ahead log on this, so a crashed honest
+  /// node always has a disk to recover from.
   bool wants_wal() const;
   /// Every adversary placement in the schedule, flattened for
   /// ExperimentConfig::adversaries.

@@ -28,21 +28,12 @@ void BaseNode::halt() {
   outstanding_fetches_.clear();
 }
 
-void BaseNode::restore(const BlockStore& store, const std::vector<BlockPtr>& committed,
-                       View resume_view) {
-  MOONSHOT_INVARIANT(view_ == 0, "restore must precede start()");
-  for (const BlockPtr& b : store.all_blocks()) store_.add(b);
-  // Replay the committed prefix. No commit callbacks are registered yet on a
-  // freshly rebuilt node, so metrics are not double-counted.
-  const TimePoint now = ctx_.sched->now();
-  for (const BlockPtr& b : committed) commit_log_.commit(b, now);
-  if (resume_view > 0) view_ = resume_view;
-}
-
 void BaseNode::restore_from_wal(const wal::RecoveredState& state) {
   MOONSHOT_INVARIANT(view_ == 0, "restore must precede start()");
   wal_restoring_ = true;
   for (const BlockPtr& b : state.blocks) store_.add(b);
+  // Replay the committed prefix. No commit callbacks are registered yet on a
+  // freshly rebuilt node, so metrics are not double-counted.
   const TimePoint now = ctx_.sched->now();
   for (const BlockPtr& b : state.committed) commit_log_.commit(b, now);
   // Re-seed the certificate table so the commit rule bridges the crash: a

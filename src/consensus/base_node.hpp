@@ -36,10 +36,6 @@ class BaseNode : public IConsensusNode {
   /// a node whose scheduled callbacks are still queued.
   void halt() override;
 
-  /// Rebuilds ledger state from persisted storage; must precede start().
-  void restore(const BlockStore& store, const std::vector<BlockPtr>& committed,
-               View resume_view) override;
-
   /// Rebuilds ledger state *and* durable voting state from a replayed WAL;
   /// must precede start(). Subclasses pick up their vote/timeout guards via
   /// on_wal_restored().

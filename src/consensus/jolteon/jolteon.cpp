@@ -17,8 +17,9 @@ void JolteonNode::on_wal_restored(const wal::RecoveredState& rs) {
 }
 
 void JolteonNode::start() {
-  // Cold start enters view 1; a crash-recovered node (restore() set view_)
-  // resumes in its restored view and catches up via incoming certificates.
+  // Cold start enters view 1; a crash-recovered node (restore_from_wal() set
+  // view_) resumes in its restored view and catches up via incoming
+  // certificates.
   const bool cold_start = view_ == 0;
   if (cold_start) view_ = 1;
   note_view_entered(view_, /*reason=*/0, 0);

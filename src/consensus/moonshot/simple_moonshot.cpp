@@ -21,9 +21,9 @@ void SimpleMoonshotNode::on_wal_restored(const wal::RecoveredState& rs) {
 void SimpleMoonshotNode::start() {
   // All nodes know the genesis certificate C_0, so everyone enters view 1
   // immediately. The certificate multicast is skipped (everyone has C_0).
-  // A crash-recovered node (restore() set view_ > 0) resumes in its restored
-  // view instead: it arms the timer and catches up via incoming certificates
-  // rather than replaying view-1 actions.
+  // A crash-recovered node (restore_from_wal() set view_ > 0) resumes in its
+  // restored view instead: it arms the timer and catches up via incoming
+  // certificates rather than replaying view-1 actions.
   const bool cold_start = view_ == 0;
   if (cold_start) view_ = 1;
   note_view_entered(view_, /*reason=*/0, 0);

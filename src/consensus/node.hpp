@@ -40,8 +40,8 @@ class IConsensusNode {
   virtual ~IConsensusNode() = default;
 
   /// Enters view 1 and begins participating (leader of view 1 proposes).
-  /// After restore() the node instead resumes at its restored view without
-  /// replaying view-1 actions.
+  /// After restore_from_wal() the node instead resumes at its restored view
+  /// without replaying view-1 actions.
   virtual void start() = 0;
 
   /// Crash-stop: the node must emit nothing further; pending timers and
@@ -49,19 +49,6 @@ class IConsensusNode {
   /// rebuilding its replacement from persisted state, so the halted husk can
   /// outlive its scheduled callbacks safely.
   virtual void halt() {}
-
-  /// Legacy in-memory recovery, called before start(): re-adds every block
-  /// from `store`, replays the `committed` prefix into the commit log, and
-  /// resumes at `resume_view` (0 = cold start). Per-view voting state is
-  /// *not* restored — a recovered node may re-send votes/timeouts, which
-  /// honest accumulators dedupe by voter. Kept as the digest-compatible
-  /// compat path; faithful recovery goes through restore_from_wal().
-  virtual void restore(const BlockStore& store, const std::vector<BlockPtr>& committed,
-                       View resume_view) {
-    (void)store;
-    (void)committed;
-    (void)resume_view;
-  }
 
   /// Durable crash recovery, called before start(): rebuilds the block
   /// store, committed prefix, certificate table AND the per-view voting

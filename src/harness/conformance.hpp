@@ -79,9 +79,9 @@ class ConformanceChecker {
 
 /// Builds a checker wired to `e`'s protocol, validator set and leader
 /// schedule. Statically faulty nodes — plus any `extra_exempt` ones (e.g.
-/// chaos crash-recovery targets, which may re-send votes because volatile
-/// per-view state is not persisted) — are exempt from the per-sender
-/// behavioural rules but still feed certified-view uniqueness.
+/// chaos m=amnesia targets, which forget their votes and may vote twice) —
+/// are exempt from the per-sender behavioural rules but still feed
+/// certified-view uniqueness.
 ConformanceChecker make_conformance_checker(const Experiment& e,
                                             const std::vector<NodeId>& extra_exempt = {});
 

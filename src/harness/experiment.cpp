@@ -56,22 +56,6 @@ const char* schedule_name(ScheduleKind s) {
   return "?";
 }
 
-const char* recovery_mode_name(RecoveryMode m) {
-  switch (m) {
-    case RecoveryMode::kInMemory: return "in-memory";
-    case RecoveryMode::kAmnesia: return "amnesia";
-    case RecoveryMode::kDurable: return "durable";
-  }
-  return "?";
-}
-
-std::optional<RecoveryMode> parse_recovery_mode(std::string_view s) {
-  if (s == "in-memory") return RecoveryMode::kInMemory;
-  if (s == "amnesia") return RecoveryMode::kAmnesia;
-  if (s == "durable") return RecoveryMode::kDurable;
-  return std::nullopt;
-}
-
 namespace {
 LeaderSchedulePtr build_schedule(const ExperimentConfig& cfg,
                                  const std::vector<NodeId>& byzantine) {
@@ -95,7 +79,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
                      "crashed nodes must not exceed f");
 
   down_.assign(cfg_.n, 0);
-  recovered_once_.assign(cfg_.n, 0);
 
   if (cfg_.tracer) cfg_.tracer->set_clock(&sched_);
 
@@ -280,25 +263,19 @@ void Experiment::recover_node(NodeId id) { recover_node(id, cfg_.recovery); }
 void Experiment::recover_node(NodeId id, RecoveryMode mode) {
   MOONSHOT_INVARIANT(id < cfg_.n, "recovery of unknown node");
   if (!down_[id]) return;
-  IConsensusNode& dead = *nodes_[id];
 
   // The commit hook is attached only after restore: replayed commits must
   // not be double-counted by the metrics collector.
   auto fresh = make_node(id);
   wal::Wal* wal = wal_of(id);
   switch (mode) {
-    case RecoveryMode::kInMemory:
-      // Legacy path: the dead instance's in-memory state stands in for disk.
-      // Volatile per-view voting state is lost (see IConsensusNode::restore).
-      fresh->restore(dead.block_store(), dead.commit_log().blocks(), dead.current_view());
+    case RecoveryMode::kDurable:
+      MOONSHOT_INVARIANT(wal != nullptr, "durable recovery requires enable_wal");
+      fresh->restore_from_wal(wal->replay());
       break;
     case RecoveryMode::kAmnesia:
       // Disk lost too: cold start from genesis with an empty WAL.
       if (wal) wal->wipe();
-      break;
-    case RecoveryMode::kDurable:
-      MOONSHOT_INVARIANT(wal != nullptr, "durable recovery requires enable_wal");
-      fresh->restore_from_wal(wal->replay());
       break;
   }
   attach_commit_hook(*fresh, id);
@@ -306,7 +283,6 @@ void Experiment::recover_node(NodeId id, RecoveryMode mode) {
   retired_.push_back(std::move(nodes_[id]));
   nodes_[id] = std::move(fresh);
   down_[id] = 0;
-  recovered_once_[id] = 1;
   network_->unsilence(id);
   if (started_) nodes_[id]->start();
 }

@@ -50,19 +50,14 @@ enum class FaultKind {
 
 /// How recover_node() rebuilds a crashed node's state.
 enum class RecoveryMode {
-  /// Legacy: copy the dead instance's in-memory BlockStore/CommitLog/view.
-  /// Per-view voting state is lost (the amnesia hazard), but this path keeps
-  /// every pre-WAL determinism digest reproducible, so it stays the default.
-  kInMemory,
-  /// True amnesia: the disk is gone too. The node cold-starts from genesis
-  /// and the WAL (if any) is wiped. This is the mode that can violate safety.
-  kAmnesia,
-  /// Faithful crash recovery: replay the node's write-ahead log (torn-tail
+  /// Crash recovery of an honest node: replay its write-ahead log (torn-tail
   /// truncation included) and refuse re-votes. Requires enable_wal.
   kDurable,
+  /// The hazard demo: the disk is gone too. The node cold-starts from
+  /// genesis and its WAL (if any) is wiped, so it may vote twice in a view.
+  /// This is the mode that can violate safety.
+  kAmnesia,
 };
-const char* recovery_mode_name(RecoveryMode m);
-std::optional<RecoveryMode> parse_recovery_mode(std::string_view s);
 
 struct ExperimentConfig {
   ProtocolKind protocol = ProtocolKind::kPipelinedMoonshot;
@@ -137,9 +132,9 @@ struct ExperimentConfig {
   bool enable_wal = false;
   /// Fsync latency model and compaction threshold for the per-node WALs.
   wal::WalOptions wal;
-  /// Default mode for recover_node(id); chaos schedules can override
-  /// per-event via recover_node(id, mode).
-  RecoveryMode recovery = RecoveryMode::kInMemory;
+  /// Mode for recover_node(id); chaos schedules pick it per event via
+  /// recover_node(id, mode).
+  RecoveryMode recovery = RecoveryMode::kDurable;
   /// Commit forks latch CommitLog::fork_detected() instead of aborting the
   /// process (ForkPolicy::kRecord). The model checker needs seeded commit-rule
   /// bugs to surface as reportable violations; leave off everywhere else.
@@ -190,10 +185,6 @@ class Experiment {
   /// Same, with an explicit recovery mode (chaos schedules route here).
   void recover_node(NodeId id, RecoveryMode mode);
   bool is_down(NodeId id) const { return down_.at(id); }
-  /// True if the node crash-recovered at least once during the run. Such
-  /// nodes may re-send votes/timeouts (volatile per-view state is not
-  /// persisted), so behavioural conformance rules exempt them.
-  bool ever_recovered(NodeId id) const { return recovered_once_.at(id); }
 
   /// Publishes the run's metrics into `reg`, stamped with the scheduler's
   /// current simulated time. Idempotent (gauges are set, counters mirrored),
@@ -242,7 +233,6 @@ class Experiment {
   /// callbacks that still reference them stay safe.
   std::vector<std::unique_ptr<IConsensusNode>> retired_;
   std::vector<char> down_;
-  std::vector<char> recovered_once_;
   std::vector<char> adversary_;  // bitmap: node id runs the adversary framework
   adversary::CoalitionPtr coalition_;
   MetricsCollector metrics_;

@@ -431,6 +431,16 @@ CritPathReport analyze_critical_path(const std::vector<Event>& merged,
   report.observer = observer;
   Index ix = build_index(merged, nodes);
 
+  const ViewGlobal* prev = nullptr;
+  View prev_view = 0;
+  for (const auto& [view, g] : ix.views) {
+    if (!g.has_proposed) continue;
+    if (prev != nullptr && view == prev_view + 1)
+      report.period.record(g.proposed - prev->proposed);
+    prev = &g;
+    prev_view = view;
+  }
+
   for (auto& [view, vec] : ix.nv) {
     if (static_cast<std::size_t>(observer) >= vec.size()) continue;
     const NV& obs_nv = vec[observer];
@@ -487,15 +497,63 @@ std::vector<BoundViolation> check_bounds(const CritPathReport& report,
   return out;
 }
 
-void print_critpath(const CritPathReport& report, Duration delta,
-                    std::FILE* out) {
+namespace {
+
+void print_header(const CritPathReport& report, const char* title,
+                  std::FILE* out) {
   std::size_t complete = 0;
   for (const BlockPath& p : report.blocks)
     if (p.complete) complete++;
   std::fprintf(out,
-               "--- critical path (observer: node %u, %zu committed blocks, "
+               "--- %s (observer: node %u, %zu committed blocks, "
                "%zu fully attributed) ---\n",
-               report.observer, report.blocks.size(), complete);
+               title, report.observer, report.blocks.size(), complete);
+}
+
+void print_segment_aggregates(const CritPathReport& report, Duration delta,
+                              std::FILE* out) {
+  std::fprintf(out, "  --- segment aggregates (nonzero only) ---\n");
+  double total_ns = 0.0;
+  for (std::size_t k = 0; k < kSegmentKindCount; ++k) {
+    total_ns += report.by_kind[k].mean() *
+                static_cast<double>(report.by_kind[k].count());
+  }
+  for (std::size_t k = 0; k < kSegmentKindCount; ++k) {
+    const Histogram& h = report.by_kind[k];
+    if (h.count() == 0) continue;
+    std::fprintf(out, "  %-16s n=%-4llu mean %8.3fms  p99 %8.3fms",
+                 segment_kind_name(static_cast<SegmentKind>(k)),
+                 static_cast<unsigned long long>(h.count()), h.mean_ms(),
+                 h.percentile_ms(0.99));
+    if (delta.count() > 0)
+      std::fprintf(out, "  = %5.2fd", h.mean_ms() / to_ms(delta));
+    if (total_ns > 0.0)
+      std::fprintf(out, "  share %5.1f%%",
+                   100.0 * h.mean() * static_cast<double>(h.count()) / total_ns);
+    std::fputc('\n', out);
+  }
+}
+
+void print_stat_row(const char* label, const Histogram& h, Duration delta,
+                    const char* paper, std::FILE* out) {
+  if (h.count() == 0) {
+    std::fprintf(out, "  %-16s %10s\n", label, "n/a");
+    return;
+  }
+  std::fprintf(out, "  %-16s %9.3fms  p50 %9.3fms  p99 %9.3fms", label,
+               h.mean_ms(), h.percentile_ms(0.5), h.percentile_ms(0.99));
+  if (delta.count() > 0) {
+    std::fprintf(out, "  = %5.2fd (paper: %s)", h.mean_ms() / to_ms(delta),
+                 paper);
+  }
+  std::fputc('\n', out);
+}
+
+}  // namespace
+
+void print_critpath(const CritPathReport& report, Duration delta,
+                    std::FILE* out) {
+  print_header(report, "critical path", out);
   std::fprintf(out, "  %5s %6s %10s %4s  %s\n", "view", "height", "latency",
                "flag", "critical-path segments");
   for (const BlockPath& p : report.blocks) {
@@ -528,26 +586,7 @@ void print_critpath(const CritPathReport& report, Duration delta,
     std::fputc('\n', out);
   }
 
-  std::fprintf(out, "  --- segment aggregates (nonzero only) ---\n");
-  double total_ns = 0.0;
-  for (std::size_t k = 0; k < kSegmentKindCount; ++k) {
-    total_ns += report.by_kind[k].mean() *
-                static_cast<double>(report.by_kind[k].count());
-  }
-  for (std::size_t k = 0; k < kSegmentKindCount; ++k) {
-    const Histogram& h = report.by_kind[k];
-    if (h.count() == 0) continue;
-    std::fprintf(out, "  %-16s n=%-4llu mean %8.3fms  p99 %8.3fms",
-                 segment_kind_name(static_cast<SegmentKind>(k)),
-                 static_cast<unsigned long long>(h.count()), h.mean_ms(),
-                 h.percentile_ms(0.99));
-    if (delta.count() > 0)
-      std::fprintf(out, "  = %5.2fd", h.mean_ms() / to_ms(delta));
-    if (total_ns > 0.0)
-      std::fprintf(out, "  share %5.1f%%",
-                   100.0 * h.mean() * static_cast<double>(h.count()) / total_ns);
-    std::fputc('\n', out);
-  }
+  print_segment_aggregates(report, delta, out);
 
   // The slowest single link on any path: the network edge to watch.
   const Segment* slowest = nullptr;
@@ -575,6 +614,23 @@ void print_critpath(const CritPathReport& report, Duration delta,
       std::fprintf(out, "  = %.2fd mean", report.latency.mean_ms() / to_ms(delta));
     std::fputc('\n', out);
   }
+}
+
+void print_latency_summary(const CritPathReport& report,
+                           const LatencyBound& bound, Duration delta,
+                           std::FILE* out) {
+  print_header(report, "latency summary", out);
+  if (delta.count() > 0)
+    std::fprintf(out, "  one-way delta: %.3f ms\n", to_ms(delta));
+  char target[32];
+  if (bound.omega_mult > 0.0)
+    std::snprintf(target, sizeof target, "%gd+%gw", bound.delta_mult,
+                  bound.omega_mult);
+  else
+    std::snprintf(target, sizeof target, "%gd", bound.delta_mult);
+  print_stat_row("block period w", report.period, delta, "1d", out);
+  print_stat_row("commit lat. l", report.latency, delta, target, out);
+  print_segment_aggregates(report, delta, out);
 }
 
 void print_bound_check(const std::vector<BoundViolation>& violations,

@@ -23,6 +23,9 @@
 //   commit_rule      triggering certificate → commit applied (~0)
 //   unattributed     missing stamps (ring wrap, crashes); clamps to λ
 //
+// The report also carries the block period ω: the gaps between adjacent
+// views' first proposal multicasts (≈1δ with optimistic proposals, §IV).
+//
 // The per-view bound check compares measured λ against the paper's predicted
 // cδ·δ + cω·ω form (3δ for the Moonshots/pipelined two-chain, 2δ+ω for
 // Commit Moonshot, 5δ Jolteon, 7δ chained HotStuff) with a configurable
@@ -84,6 +87,9 @@ struct CritPathReport {
   std::vector<BlockPath> blocks;  // committed blocks, view order
   Histogram by_kind[kSegmentKindCount];  // nonzero segment durations
   Histogram latency;                     // λ of complete paths
+  /// ω samples: gaps between the first proposal multicasts of views v and
+  /// v+1. Only adjacent views contribute, so timeout gaps don't skew it.
+  Histogram period;
 };
 
 /// Runs the backward walk over merged() output for every block the observer
@@ -121,6 +127,12 @@ std::vector<BoundViolation> check_bounds(const CritPathReport& report,
 /// δ-multiples.
 void print_critpath(const CritPathReport& report, Duration delta,
                     std::FILE* out);
+
+/// The short form: block count, ω and λ against the paper's targets (ω = δ
+/// and `bound` for λ) as δ-multiples, then the segment aggregates.
+void print_latency_summary(const CritPathReport& report,
+                           const LatencyBound& bound, Duration delta,
+                           std::FILE* out);
 
 /// One line per violation (empty list prints a "0 violations" summary).
 void print_bound_check(const std::vector<BoundViolation>& violations,

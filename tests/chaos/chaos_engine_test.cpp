@@ -40,10 +40,14 @@ TEST(FaultSchedule, RejectsMalformedInput) {
 }
 
 TEST(FaultSchedule, LastHealAndCrashTargets) {
-  const auto s = FaultSchedule::parse("crash(100-101;n=1);drop(200-900;p=30);crash(300-301;n=2)");
+  // Only m=amnesia crash targets are conformance-exempt; node 3 recovers
+  // durably and is not listed.
+  const auto s = FaultSchedule::parse(
+      "crash(100-101;n=1;m=amnesia);drop(200-900;p=30);crash(300-301;n=2;m=amnesia);"
+      "crash(400-401;n=3)");
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->last_heal().ns, 900 * 1'000'000);
-  const auto targets = s->crash_targets();
+  const auto targets = s->amnesia_targets();
   ASSERT_EQ(targets.size(), 2u);
   EXPECT_EQ(targets[0], 1u);
   EXPECT_EQ(targets[1], 2u);

@@ -9,10 +9,15 @@
 namespace moonshot::chaos {
 namespace {
 
+// gtest has no printer for this struct, so each test's ctest name carries its
+// raw bytes. An explicit zero field where the alignment padding would sit
+// keeps those names identical from build to build.
 struct PartitionCase {
   ProtocolKind protocol;
+  std::uint32_t pad = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(PartitionCase) == 16, "PartitionCase must have no padding");
 
 std::string case_name(const ::testing::TestParamInfo<PartitionCase>& info) {
   return std::string(protocol_tag(info.param.protocol)) + "_seed" +
@@ -60,7 +65,7 @@ std::vector<PartitionCase> make_cases() {
   std::vector<PartitionCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot, ProtocolKind::kJolteon}) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) cases.push_back({p, seed});
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) cases.push_back({.protocol = p, .seed = seed});
   }
   return cases;
 }
@@ -102,7 +107,7 @@ std::vector<PartitionCase> convergence_cases() {
   std::vector<PartitionCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot, ProtocolKind::kJolteon}) {
-    cases.push_back({p, 5});
+    cases.push_back({.protocol = p, .seed = 5});
   }
   return cases;
 }

@@ -22,10 +22,15 @@
 namespace moonshot {
 namespace {
 
+// gtest has no printer for this struct, so each test's ctest name carries its
+// raw bytes. An explicit zero field where the alignment padding would sit
+// keeps those names identical from build to build.
 struct PropertyCase {
   ProtocolKind protocol;
+  std::uint32_t pad = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(PropertyCase) == 16, "PropertyCase must have no padding");
 
 std::string case_name(const ::testing::TestParamInfo<PropertyCase>& info) {
   return std::string(protocol_tag(info.param.protocol)) + "_seed" +
@@ -107,7 +112,7 @@ std::vector<PropertyCase> make_cases() {
   std::vector<PropertyCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot, ProtocolKind::kJolteon}) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) cases.push_back({p, seed});
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) cases.push_back({.protocol = p, .seed = seed});
   }
   return cases;
 }
@@ -123,7 +128,9 @@ TEST(PropertySweepParallel, InvariantsHoldAcrossSeeds) {
   std::vector<PropertyCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot, ProtocolKind::kJolteon}) {
-    for (std::uint64_t seed = 100; seed <= 102; ++seed) cases.push_back({p, seed});
+    for (std::uint64_t seed = 100; seed <= 102; ++seed) {
+      cases.push_back({.protocol = p, .seed = seed});
+    }
   }
 
   std::vector<std::string> failures(cases.size());
@@ -205,7 +212,9 @@ std::vector<PropertyCase> moonshot_cases() {
   std::vector<PropertyCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot}) {
-    for (std::uint64_t seed = 10; seed <= 13; ++seed) cases.push_back({p, seed});
+    for (std::uint64_t seed = 10; seed <= 13; ++seed) {
+      cases.push_back({.protocol = p, .seed = seed});
+    }
   }
   return cases;
 }

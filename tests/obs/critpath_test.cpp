@@ -36,8 +36,112 @@ ExperimentConfig traced_pm_config(obs::Tracer& tracer) {
   return cfg;
 }
 
+obs::Event make_event(std::int64_t t_ms, NodeId node, obs::EventKind kind, View view,
+                      std::uint64_t a = 0, std::uint64_t b = 0) {
+  obs::Event e;
+  e.t = TimePoint{Duration(milliseconds(t_ms)).count()};
+  e.node = node;
+  e.kind = kind;
+  e.view = view;
+  e.a = a;
+  e.b = b;
+  return e;
+}
+
+// One synthetic view-1 lifecycle seen by observer 0: node 1 proposes at 0,
+// node 2 receives and votes at 100, node 0 receives that vote and certifies
+// at 200, and commits at 300.
+std::vector<obs::Event> one_block_trace() {
+  using obs::EventKind;
+  return {
+      make_event(0, 1, EventKind::kProposalSent, 1, /*height=*/1),
+      make_event(100, 2, EventKind::kProposalRecv, 1),
+      make_event(100, 2, EventKind::kVoteCast, 1, /*kind=*/0),
+      make_event(200, 0, EventKind::kVoteRecv, 1, /*kind=*/0, /*voter=*/2),
+      make_event(200, 0, EventKind::kQcFormed, 1, 0, /*kind=*/0),
+      make_event(300, 0, EventKind::kCommit, 1, /*height=*/1),
+  };
+}
+
 TEST(CritPath, EmptyTraceYieldsEmptyReport) {
   const auto report = obs::analyze_critical_path({}, 4);
+  EXPECT_TRUE(report.blocks.empty());
+  EXPECT_EQ(report.latency.count(), 0u);
+  EXPECT_EQ(report.period.count(), 0u);
+}
+
+TEST(Decompose, SyntheticFourStampBlock) {
+  // View 2's proposal at 100 gives one ω sample of 100 ms; λ = 300 ms splits
+  // into propose_flight → vote_flight → commit_rule, 100 ms each.
+  auto events = one_block_trace();
+  events.push_back(make_event(100, 2, obs::EventKind::kOptProposalSent, 2, 2));
+  const auto report = obs::analyze_critical_path(events, 4, /*observer=*/0);
+
+  ASSERT_EQ(report.blocks.size(), 1u);
+  const auto& b = report.blocks[0];
+  EXPECT_TRUE(b.complete);
+  EXPECT_EQ(b.view, 1u);
+  EXPECT_EQ(b.height, 1u);
+  EXPECT_EQ(to_ms(b.latency()), 300.0);
+  ASSERT_EQ(b.segments.size(), 3u);
+  EXPECT_EQ(b.segments[0].kind, obs::SegmentKind::kProposeFlight);
+  EXPECT_EQ(b.segments[1].kind, obs::SegmentKind::kVoteFlight);
+  EXPECT_EQ(b.segments[2].kind, obs::SegmentKind::kCommitRule);
+  for (const auto& s : b.segments) EXPECT_EQ(to_ms(s.duration()), 100.0);
+
+  EXPECT_EQ(report.period.count(), 1u);
+  EXPECT_NEAR(report.period.mean_ms(), 100.0, 1e-9);
+  EXPECT_EQ(report.latency.count(), 1u);
+  EXPECT_NEAR(report.latency.mean_ms(), 300.0, 1e-9);
+}
+
+TEST(Decompose, SingleViewRunHasLatencyButNoPeriodSample) {
+  // Only view 1 ever proposes: one λ sample, but ω needs two adjacent
+  // proposals, so the period histogram must stay empty.
+  const auto report = obs::analyze_critical_path(one_block_trace(), 4, 0);
+  ASSERT_EQ(report.blocks.size(), 1u);
+  EXPECT_TRUE(report.blocks[0].complete);
+  EXPECT_EQ(report.latency.count(), 1u);
+  EXPECT_EQ(report.period.count(), 0u);
+}
+
+TEST(Decompose, MissingVoteLeavesBlockIncomplete) {
+  // The critical voter's vote_cast stamp is gone: the walk clamps the gap
+  // to unattributed, the block stays incomplete, and incomplete blocks do
+  // not feed the λ histogram.
+  auto events = one_block_trace();
+  events.erase(std::remove_if(events.begin(), events.end(),
+                              [](const obs::Event& e) {
+                                return e.kind == obs::EventKind::kVoteCast;
+                              }),
+               events.end());
+  const auto report = obs::analyze_critical_path(events, 4, 0);
+  ASSERT_EQ(report.blocks.size(), 1u);
+  EXPECT_FALSE(report.blocks[0].complete);
+  EXPECT_EQ(report.blocks[0].attributed().count(), report.blocks[0].latency().count());
+  EXPECT_EQ(report.latency.count(), 0u);
+}
+
+TEST(Decompose, PeriodSkipsNonAdjacentViews) {
+  // Views 1 and 3 propose; view 2 never does (timed out). No ω sample may
+  // span the gap.
+  const std::vector<obs::Event> events = {
+      make_event(0, 1, obs::EventKind::kProposalSent, 1, 1),
+      make_event(900, 3, obs::EventKind::kProposalSent, 3, 2),
+  };
+  const auto report = obs::analyze_critical_path(events, 4, 0);
+  EXPECT_EQ(report.period.count(), 0u);
+}
+
+TEST(Decompose, OtherObserversEventsAreIgnored) {
+  // Node 2 commits, but observer 0 never does: no block is attributed.
+  const std::vector<obs::Event> events = {
+      make_event(0, 1, obs::EventKind::kProposalSent, 1, 1),
+      make_event(50, 2, obs::EventKind::kVoteCast, 1),
+      make_event(90, 2, obs::EventKind::kQcFormed, 1),
+      make_event(120, 2, obs::EventKind::kCommit, 1, 1),
+  };
+  const auto report = obs::analyze_critical_path(events, 4, /*observer=*/0);
   EXPECT_TRUE(report.blocks.empty());
   EXPECT_EQ(report.latency.count(), 0u);
 }
@@ -67,6 +171,28 @@ TEST(CritPath, AttributionTelescopesToExactlyLatency) {
   }
   // λ ≈ 3δ on the fixed-δ happy path.
   EXPECT_NEAR(report.latency.mean_ms() / to_ms(kDelta), 3.0, 0.15);
+}
+
+// The headline acceptance check: a traced Pipelined Moonshot happy path on a
+// uniform jitter-free network shows the paper's constants — block period
+// ω ≈ δ (optimistic proposals, §IV) and commit latency λ ≈ 3δ (§III).
+TEST(Decompose, PipelinedMoonshotShowsPaperConstants) {
+  obs::Tracer tracer(4);
+  auto cfg = traced_pm_config(tracer);
+  cfg.duration = seconds(10);
+  const auto r = run_experiment(cfg);
+  ASSERT_TRUE(r.logs_consistent);
+  ASSERT_GT(r.summary.committed_blocks, 20u);
+
+  const auto report = obs::analyze_critical_path(tracer.merged(), 4);
+  ASSERT_GT(report.blocks.size(), 20u);
+  const double delta_ms = to_ms(kDelta);
+  EXPECT_NEAR(report.period.mean_ms() / delta_ms, 1.0, 0.15);   // ω ≈ 1δ
+  EXPECT_NEAR(report.latency.mean_ms() / delta_ms, 3.0, 0.30);  // λ ≈ 3δ
+  // Flights dominate: each hop of the 3δ chain is one δ.
+  const auto& flights =
+      report.by_kind[static_cast<std::size_t>(obs::SegmentKind::kProposeFlight)];
+  EXPECT_NEAR(flights.mean_ms() / delta_ms, 1.0, 0.20);
 }
 
 TEST(CritPath, FaultFreeFixedDeltaRunHasZeroBoundViolations) {

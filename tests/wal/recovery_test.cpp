@@ -1,6 +1,6 @@
 // Crash-recovery integration tests (DESIGN.md §5.3):
-//  * the chaos grammar's crash recovery modes round-trip and stay
-//    byte-compatible with pre-WAL schedules;
+//  * the chaos grammar's crash recovery modes round-trip, and a crash event
+//    without an m= key recovers durably;
 //  * re-sent votes/timeouts from a recovered node never double-count in
 //    accumulators — the reason recovery is safe at all;
 //  * durable recovery passes the full chaos invariant suite on every
@@ -8,18 +8,20 @@
 //  * the amnesia demonstration: a seeded schedule where forgetting votes
 //    provably forks the chain, while the identical schedule with a WAL
 //    commits safely;
-//  * the WAL-enabled happy path still shows the paper's ω ≈ δ, λ ≈ 3δ.
+//  * the WAL-enabled happy path still shows the paper's ω ≈ δ, λ ≈ 3δ on
+//    the critical-path report.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "chaos/generate.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/schedule.hpp"
 #include "consensus/accumulators.hpp"
 #include "harness/experiment.hpp"
-#include "obs/decompose.hpp"
+#include "obs/critpath.hpp"
 #include "obs/trace.hpp"
 
 namespace moonshot {
@@ -27,30 +29,38 @@ namespace {
 
 using chaos::ChaosReport;
 using chaos::ChaosRunConfig;
-using chaos::CrashMode;
 using chaos::FaultSchedule;
 
 // --- grammar: crash recovery modes -------------------------------------------
 
 TEST(CrashGrammar, RecoveryModesRoundTrip) {
+  // m=durable stays accepted (published reproducers spell it out) but is
+  // the default, so it prints without the key; m=amnesia prints back.
   const char* text = "crash(100-600;n=0,2;m=durable);crash(700-900;n=1;m=amnesia)";
   const auto parsed = FaultSchedule::parse(text);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->events.size(), 2u);
-  EXPECT_EQ(parsed->events[0].crash_mode, CrashMode::kDurable);
-  EXPECT_EQ(parsed->events[1].crash_mode, CrashMode::kAmnesia);
-  EXPECT_EQ(parsed->to_string(), text);
+  EXPECT_EQ(parsed->events[0].recovery, RecoveryMode::kDurable);
+  EXPECT_EQ(parsed->events[1].recovery, RecoveryMode::kAmnesia);
+  const std::string printed = parsed->to_string();
+  EXPECT_EQ(printed, "crash(100-600;n=0,2);crash(700-900;n=1;m=amnesia)");
+  const auto reparsed = FaultSchedule::parse(printed);
+  ASSERT_TRUE(reparsed.has_value());
+  ASSERT_EQ(reparsed->events.size(), 2u);
+  EXPECT_EQ(reparsed->events[0].recovery, RecoveryMode::kDurable);
+  EXPECT_EQ(reparsed->events[1].recovery, RecoveryMode::kAmnesia);
+  EXPECT_EQ(reparsed->to_string(), printed);
 }
 
 TEST(CrashGrammar, LegacySchedulesStayByteExact) {
-  // Pre-WAL reproducers carry no m= key; they must parse to kDefault and
-  // print back without one, so checked-in reproducer strings never drift.
+  // A crash event without an m= key recovers durably, prints back without
+  // the key (the schedule string never drifts), and needs a WAL.
   const char* text = "crash(700-701;n=2);drop(400-900;p=50)";
   const auto parsed = FaultSchedule::parse(text);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->events[0].crash_mode, CrashMode::kDefault);
+  EXPECT_EQ(parsed->events[0].recovery, RecoveryMode::kDurable);
   EXPECT_EQ(parsed->to_string(), text);
-  EXPECT_FALSE(parsed->wants_wal());
+  EXPECT_TRUE(parsed->wants_wal());
 }
 
 TEST(CrashGrammar, RejectsBadModes) {
@@ -63,9 +73,13 @@ TEST(CrashGrammar, DurableCrashWantsWal) {
   const auto durable = FaultSchedule::parse("crash(1-2;n=0;m=durable)");
   ASSERT_TRUE(durable.has_value());
   EXPECT_TRUE(durable->wants_wal());
+  // Every crash schedule gets a WAL; m=amnesia wipes it at recovery.
   const auto amnesia = FaultSchedule::parse("crash(1-2;n=0;m=amnesia)");
   ASSERT_TRUE(amnesia.has_value());
-  EXPECT_FALSE(amnesia->wants_wal());  // amnesia needs no durable bytes
+  EXPECT_TRUE(amnesia->wants_wal());
+  const auto no_crash = FaultSchedule::parse("part(1-2;0|1,2,3)");
+  ASSERT_TRUE(no_crash.has_value());
+  EXPECT_FALSE(no_crash->wants_wal());
 }
 
 // --- re-sent votes do not double-count ---------------------------------------
@@ -134,7 +148,7 @@ ChaosRunConfig crash_config(ProtocolKind p, const char* schedule_text,
 TEST(DurableRecovery, AllProtocolsSurviveDurableCrash) {
   // The crash target loses its volatile state and rejoins from its WAL: the
   // full invariant suite (safety, conformance, liveness, chain shape) must
-  // hold for every protocol. m=durable also auto-enables the WAL.
+  // hold for every protocol. Any crash event turns the WAL on.
   for (const ProtocolKind p :
        {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
         ProtocolKind::kCommitMoonshot, ProtocolKind::kJolteon,
@@ -163,12 +177,12 @@ TEST(DurableRecovery, ReplayIsBitIdentical) {
 }
 
 TEST(DurableRecovery, FreeWalDoesNotPerturbLegacyRuns) {
-  // With a zero-cost fsync the WAL must be timing-invisible: the same
-  // in-memory-recovery scenario produces the identical digest with and
-  // without a WAL attached. This is the digest-compatibility contract that
-  // keeps pre-WAL reproducer strings meaningful.
+  // With a zero-cost fsync the WAL must be timing-invisible: a schedule
+  // without a crash event produces the identical digest with and without a
+  // WAL attached. This is the digest-compatibility contract that keeps
+  // crash-free reproducer strings meaningful.
   auto cfg = crash_config(ProtocolKind::kPipelinedMoonshot,
-                          "crash(1000-2500;n=0)", 5);
+                          "part(1000-2500;0|1,2,3);drop(3000-3500;p=30)", 5);
   const ChaosReport without = run_chaos(cfg);
   cfg.enable_wal = true;
   const ChaosReport with = run_chaos(cfg);
@@ -231,15 +245,15 @@ TEST(AmnesiaDemo, IdenticalScheduleWithWalCommitsSafely) {
 
 TEST(CrashHeavyFuzz, HundredSeedsZeroSafetyViolations) {
   // ≥100 seeded schedules, each with several non-overlapping crash windows
-  // (plus background network faults), all recovering durably: safety and
-  // chain shape must hold on every run, liveness must return in the tail.
+  // (plus background network faults), all recovering durably: safety,
+  // conformance (recovered nodes are not exempt) and chain shape must hold
+  // on every run, liveness must return in the tail.
   chaos::GenerateOptions gen;
   gen.n = 4;
   gen.crash_pool = 1;
   gen.duration = seconds(8);
   gen.stable_tail = milliseconds(3500);
   gen.crash_heavy = true;
-  gen.crash_mode = CrashMode::kDurable;
 
   std::size_t total_crash_events = 0;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
@@ -272,9 +286,9 @@ TEST(CrashHeavyFuzz, HundredSeedsZeroSafetyViolations) {
 // --- the durability tax stays within the paper's constants -------------------
 
 TEST(WalHappyPath, OmegaAndLambdaHoldWithDurability) {
-  // PR 2's headline decomposition, now with persist-before-send enabled and
+  // The paper's headline constants, now with persist-before-send enabled and
   // a non-zero modelled fsync (100µs against δ = 100ms): ω ≈ δ and λ ≈ 3δ
-  // must hold within the same tolerances.
+  // must hold on the critical-path report.
   constexpr auto kDelta = milliseconds(100);
   obs::Tracer tracer(4);
 
@@ -301,11 +315,11 @@ TEST(WalHappyPath, OmegaAndLambdaHoldWithDurability) {
   ASSERT_TRUE(r.logs_consistent);
   ASSERT_GT(r.summary.committed_blocks, 20u);
 
-  const auto d = obs::decompose(tracer.merged(), /*observer=*/0);
-  ASSERT_GT(d.blocks.size(), 20u);
+  const auto report = obs::analyze_critical_path(tracer.merged(), cfg.n);
+  ASSERT_GT(report.blocks.size(), 20u);
   const double delta_ms = to_ms(kDelta);
-  EXPECT_NEAR(d.period.mean_ms() / delta_ms, 1.0, 0.15);   // ω ≈ 1δ
-  EXPECT_NEAR(d.latency.mean_ms() / delta_ms, 3.0, 0.30);  // λ ≈ 3δ
+  EXPECT_NEAR(report.period.mean_ms() / delta_ms, 1.0, 0.15);   // ω ≈ 1δ
+  EXPECT_NEAR(report.latency.mean_ms() / delta_ms, 3.0, 0.30);  // λ ≈ 3δ
 }
 
 }  // namespace
