@@ -203,6 +203,38 @@ class VoteWithholder final : public AdversaryStrategy {
   bool on_vote(AdversaryNode&, const BlockPtr&, VoteKind) override { return false; }
 };
 
+// --- BadSignature ------------------------------------------------------------
+// Votes honestly but flips one signature byte, so every vote it casts is
+// forged. Honest accumulators verify votes in one batch per quorum; a forged
+// vote in the batch sends it down the per-signature fallback. The bound is
+// one failed batch per (view, caught voter): a caught voter's later votes in
+// that view are verified singly. With verification off the votes pass as
+// honest ones.
+class BadSignature final : public AdversaryStrategy {
+ public:
+  using AdversaryStrategy::AdversaryStrategy;
+  std::string_view name() const override { return "badsig"; }
+
+  bool filter_send(AdversaryNode& node, NodeId to, const Message& m) override {
+    const auto* vm = std::get_if<VoteMsg>(&m);
+    if (!vm || vm->vote.voter != node.self()) return true;
+    // send_all offers one vote to every recipient: forge it once. A
+    // signature identifies its vote.
+    if (!forged_ || honest_sig_ != vm->vote.sig) {
+      honest_sig_ = vm->vote.sig;
+      Vote bad = vm->vote;
+      bad.sig.data[0] ^= 0x01;
+      forged_ = make_message<VoteMsg>(bad);
+    }
+    node.send_raw(to, forged_);
+    return false;
+  }
+
+ private:
+  crypto::Signature honest_sig_;
+  MessagePtr forged_;
+};
+
 // --- Equivocate (migrated EquivocatorNode) -----------------------------------
 // The canonical safety attack, moved verbatim from consensus/byzantine.cpp:
 // when leading, unicast conflicting proposals to the two halves of the
@@ -388,7 +420,8 @@ class Equivocate final : public AdversaryStrategy {
 
 const std::vector<std::string>& strategy_names() {
   static const std::vector<std::string> kNames = {
-      "equivocate", "silent", "delay", "partial", "fork", "stale", "timeout-equiv", "withhold",
+      "equivocate", "silent", "delay", "partial", "fork",
+      "stale", "timeout-equiv", "withhold", "badsig",
   };
   return kNames;
 }
@@ -408,6 +441,7 @@ StrategyPtr make_strategy(const AdversarySpec& spec) {
   if (spec.strategy == "stale") return std::make_unique<StaleJustify>(spec);
   if (spec.strategy == "timeout-equiv") return std::make_unique<TimeoutEquivocator>(spec);
   if (spec.strategy == "withhold") return std::make_unique<VoteWithholder>(spec);
+  if (spec.strategy == "badsig") return std::make_unique<BadSignature>(spec);
   return nullptr;
 }
 

@@ -23,36 +23,140 @@ QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
   auto& per_view = by_view_[vote.view];
   auto& bucket = per_view.buckets[Key{vote.kind, vote.block}];
   if (bucket.emitted) return nullptr;
-  for (const auto& v : bucket.votes) {
-    if (v.voter == vote.voter) {
+  for (std::size_t i = 0; i < bucket.votes.size(); ++i) {
+    const Vote& seen = bucket.votes[i];
+    if (seen.voter != vote.voter) continue;
+    const bool waiting = i >= bucket.verified;
+    if (!waiting || seen.sig == vote.sig) {
+      if (waiting) ++resends_[{vote.view, vote.kind, vote.voter}];
       ++duplicates_dropped_;
       return nullptr;
     }
+    // Different bytes compete for the voter's slot: the waiting vote keeps
+    // it iff it is valid, which only a check can tell.
+    if (settle_one(per_view, bucket, i)) {
+      ++duplicates_dropped_;
+      return nullptr;
+    }
+    break;
   }
 
-  if (verify_ && !vote.verify(*validators_)) return nullptr;
-
-  auto [it, fresh] =
-      per_view.first_block.try_emplace({vote.kind, vote.voter}, vote.block);
-  if (!fresh && it->second != vote.block) ++equivocations_seen_;
-  bucket.votes.push_back(vote);
-
-  if (bucket.votes.size() >= cert_threshold(*validators_)) {
-    bucket.emitted = true;
-    return QuorumCert::assemble(bucket.votes, block_height, *validators_, aggregate_);
+  // Only a valid first vote makes this one an equivocation, so a first vote
+  // still waiting is settled now. Dropping it frees the voter's first slot.
+  auto probe = per_view.first_block.try_emplace({vote.kind, vote.voter}, vote.block);
+  bool equivocates = !probe.second && probe.first->second != vote.block;
+  if (equivocates) {
+    Bucket& first = per_view.buckets[Key{vote.kind, probe.first->second}];
+    for (std::size_t i = first.verified; i < first.votes.size(); ++i) {
+      if (first.votes[i].voter != vote.voter) continue;
+      if (!settle_one(per_view, first, i)) {
+        probe = per_view.first_block.try_emplace({vote.kind, vote.voter}, vote.block);
+        equivocates = false;
+      }
+      break;
+    }
   }
-  return nullptr;
+
+  if (verify_ && !equivocates && !caught_.contains({vote.view, vote.voter})) {
+    bucket.votes.push_back(vote);  // waits for the quorum batch
+  } else {
+    if (!check(vote)) {
+      if (probe.second) per_view.first_block.erase(probe.first);
+      return nullptr;
+    }
+    if (equivocates) ++equivocations_seen_;
+    bucket.votes.insert(bucket.votes.begin() + bucket.verified++, vote);
+  }
+
+  const std::size_t threshold = cert_threshold(*validators_);
+  if (bucket.votes.size() < threshold) return nullptr;
+  settle(per_view, bucket);
+  if (bucket.votes.size() < threshold) return nullptr;
+  bucket.emitted = true;
+  return QuorumCert::assemble(bucket.votes, block_height, *validators_, aggregate_);
 }
 
-std::size_t VoteAccumulator::count(View view, VoteKind kind, const BlockId& block) const {
+bool VoteAccumulator::check(const Vote& vote) {
+  if (!verify_ || vote.verify(*validators_)) return true;
+  catch_voter(vote);
+  return false;
+}
+
+void VoteAccumulator::catch_voter(const Vote& vote) {
+  if (caught_.insert({vote.view, vote.voter}).second) ++bad_signatures_caught_;
+}
+
+bool VoteAccumulator::settle_one(PerView& per_view, Bucket& bucket, std::size_t i) {
+  if (!check(bucket.votes[i])) {
+    drop(per_view, bucket, i);
+    return false;
+  }
+  std::swap(bucket.votes[i], bucket.votes[bucket.verified++]);
+  return true;
+}
+
+void VoteAccumulator::settle(PerView& per_view, Bucket& bucket) {
+  // Caught voters are checked singly, so a failed batch always catches a
+  // voter not yet caught in this view. A promoted vote swaps in one already
+  // passed over; a dropped one pulls the next into slot i.
+  for (std::size_t i = bucket.verified; i < bucket.votes.size();) {
+    const Vote& v = bucket.votes[i];
+    if (caught_.contains({v.view, v.voter}) && !settle_one(per_view, bucket, i)) continue;
+    ++i;
+  }
+  if (bucket.verified == bucket.votes.size()) return;
+
+  const Vote& any = bucket.votes.back();
+  const auto digest = Vote::signing_digest(any.kind, any.view, any.block);
+  std::vector<crypto::BatchItem> items;
+  items.reserve(bucket.votes.size() - bucket.verified);
+  for (std::size_t i = bucket.verified; i < bucket.votes.size(); ++i) {
+    const Vote& v = bucket.votes[i];
+    items.push_back(crypto::BatchItem{&validators_->key(v.voter), digest.view(), &v.sig});
+  }
+  std::vector<std::size_t> bad;  // sorted culprit indices
+  validators_->scheme().verify_batch(items, &bad);
+  for (auto it = bad.rbegin(); it != bad.rend(); ++it) {
+    const std::size_t i = bucket.verified + *it;
+    catch_voter(bucket.votes[i]);
+    drop(per_view, bucket, i);
+  }
+  bucket.verified = static_cast<std::uint32_t>(bucket.votes.size());
+}
+
+void VoteAccumulator::drop(PerView& per_view, Bucket& bucket, std::size_t i) {
+  const Vote& v = bucket.votes[i];
+  // Re-sends of a forged vote were never duplicates of a counted one.
+  if (auto it = resends_.find({v.view, v.kind, v.voter}); it != resends_.end()) {
+    duplicates_dropped_ -= it->second;
+    resends_.erase(it);
+  }
+  per_view.first_block.erase({v.kind, v.voter});
+  bucket.votes.erase(bucket.votes.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+std::size_t VoteAccumulator::count(View view, VoteKind kind, const BlockId& block) {
   auto vit = by_view_.find(view);
   if (vit == by_view_.end()) return 0;
   auto kit = vit->second.buckets.find(Key{kind, block});
-  return kit == vit->second.buckets.end() ? 0 : kit->second.votes.size();
+  if (kit == vit->second.buckets.end()) return 0;
+  settle(vit->second, kit->second);
+  return kit->second.votes.size();
+}
+
+std::span<const Vote> VoteAccumulator::verified(View view, VoteKind kind,
+                                                const BlockId& block) const {
+  auto vit = by_view_.find(view);
+  if (vit == by_view_.end()) return {};
+  auto kit = vit->second.buckets.find(Key{kind, block});
+  if (kit == vit->second.buckets.end()) return {};
+  return {kit->second.votes.data(), kit->second.verified};
 }
 
 void VoteAccumulator::prune_below(View view) {
   by_view_.erase(by_view_.begin(), by_view_.lower_bound(view));
+  caught_.erase(caught_.begin(), caught_.lower_bound({view, NodeId{0}}));
+  resends_.erase(resends_.begin(), resends_.lower_bound({view, VoteKind{}, NodeId{0}}));
 }
 
 TimeoutAccumulator::Result TimeoutAccumulator::add(const TimeoutMsg& timeout) {

@@ -364,7 +364,11 @@ void BaseNode::note_timeout() {
 }
 
 bool BaseNode::check_qc(const QuorumCert& qc) const {
-  return qc.validate(*ctx_.validators, ctx_.verify_signatures, &cert_cache_);
+  // Signatures this node's accumulator already verified are not checked again.
+  const std::span<const Vote> verified =
+      ctx_.verify_signatures ? vote_acc_.verified(qc.view, qc.kind, qc.block)
+                             : std::span<const Vote>{};
+  return qc.validate(*ctx_.validators, ctx_.verify_signatures, &cert_cache_, verified);
 }
 
 bool BaseNode::check_tc(const TimeoutCert& tc) const {
@@ -377,6 +381,7 @@ NodeCounters BaseNode::counters() const {
   c.timeout_equivocations_seen = timeout_acc_.equivocations_seen();
   c.vote_duplicates_dropped = vote_acc_.duplicates_dropped();
   c.timeout_duplicates_dropped = timeout_acc_.duplicates_dropped();
+  c.vote_bad_signatures_caught = vote_acc_.bad_signatures_caught();
   c.cert_cache_hits = cert_cache_.stats().hits;
   c.cert_cache_misses = cert_cache_.stats().misses;
   return c;

@@ -31,6 +31,9 @@ struct NodeCounters {
   std::uint64_t timeout_equivocations_seen = 0;
   std::uint64_t vote_duplicates_dropped = 0;
   std::uint64_t timeout_duplicates_dropped = 0;
+  /// (view, voter) pairs caught with a bad vote signature (see
+  /// VoteAccumulator::bad_signatures_caught), exported as kind vote-bad-sig.
+  std::uint64_t vote_bad_signatures_caught = 0;
   std::uint64_t cert_cache_hits = 0;
   std::uint64_t cert_cache_misses = 0;
 };

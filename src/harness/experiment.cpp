@@ -394,6 +394,7 @@ void Experiment::export_metrics(obs::Registry& reg) {
         {"timeout-equivocation", c.timeout_equivocations_seen},
         {"vote-duplicate", c.vote_duplicates_dropped},
         {"timeout-duplicate", c.timeout_duplicates_dropped},
+        {"vote-bad-sig", c.vote_bad_signatures_caught},
     };
     for (const auto& [kind, value] : detections) {
       if (value == 0) continue;

@@ -64,7 +64,8 @@ QcPtr QuorumCert::assemble(const std::vector<Vote>& votes, Height block_height,
 }
 
 bool QuorumCert::validate(const ValidatorSet& validators, bool check_sigs,
-                          CertVerifyCache* cache) const {
+                          CertVerifyCache* cache,
+                          std::span<const Vote> verified_votes) const {
   if (is_genesis()) {
     // The genesis certificate is axiomatic: correct iff it names genesis.
     return block == Block::genesis()->id();
@@ -95,13 +96,20 @@ bool QuorumCert::validate(const ValidatorSet& validators, bool check_sigs,
     for (const NodeId id : voters) pubs.push_back(validators.key(id));
     if (!validators.scheme().verify_aggregate(pubs, digest.view(), agg_sig)) return false;
   } else {
+    const auto known = [&](std::size_t i) {
+      return std::any_of(verified_votes.begin(), verified_votes.end(), [&](const Vote& v) {
+        return v.voter == voters[i] && v.sig == sigs[i] && v.kind == kind &&
+               v.view == view && v.block == block;
+      });
+    };
     std::vector<crypto::BatchItem> items;
     items.reserve(voters.size());
     for (std::size_t i = 0; i < voters.size(); ++i) {
+      if (known(i)) continue;
       items.push_back(crypto::BatchItem{&validators.key(voters[i]),
                                         digest.view(), &sigs[i]});
     }
-    if (!validators.scheme().verify_batch(items)) return false;
+    if (!items.empty() && !validators.scheme().verify_batch(items)) return false;
   }
   if (cache) cache->insert(key);
   return true;

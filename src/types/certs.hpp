@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "crypto/signature.hpp"
@@ -61,9 +62,13 @@ struct QuorumCert {
   /// elsewhere (large simulations). Signatures are checked as one batch
   /// (SignatureScheme::verify_batch); a non-null `cache` skips the signature
   /// work entirely for certificates whose digest it already holds and records
-  /// newly verified ones. Structural checks always run.
+  /// newly verified ones. Structural checks always run. `verified_votes`
+  /// lists votes whose signatures the caller already checked itself (its
+  /// VoteAccumulator's); an array-form signature equal to one of them, same
+  /// (kind, view, block, voter) and same bytes, stays out of the batch.
   bool validate(const ValidatorSet& validators, bool check_sigs = true,
-                CertVerifyCache* cache = nullptr) const;
+                CertVerifyCache* cache = nullptr,
+                std::span<const Vote> verified_votes = {}) const;
 
   /// Collision-resistant digest of the canonical serialization, bound to the
   /// validator set the signatures were checked against; the key under which

@@ -57,7 +57,7 @@ TEST(AdversaryRegistry, CatalogueCoversTheStrategyLibrary) {
   const auto& names = adversary::strategy_names();
   const std::set<std::string> have(names.begin(), names.end());
   for (const char* expected : {"equivocate", "silent", "delay", "partial", "fork",
-                               "stale", "timeout-equiv", "withhold"}) {
+                               "stale", "timeout-equiv", "withhold", "badsig"}) {
     EXPECT_TRUE(have.count(expected)) << "missing strategy: " << expected;
     EXPECT_TRUE(adversary::known_strategy(expected));
   }
@@ -268,6 +268,25 @@ TEST(AdversaryDetection, VoteEquivocationIsCountedAndExported) {
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("adversary_detected_total"), std::string::npos);
   EXPECT_NE(text.find("vote-equivocation"), std::string::npos) << text;
+}
+
+TEST(AdversaryDetection, BadVoteSignatureIsCountedAndExported) {
+  // Forged votes only show when nodes verify signatures.
+  ExperimentConfig cfg;
+  cfg.protocol = ProtocolKind::kPipelinedMoonshot;
+  cfg.n = 4;
+  cfg.duration = seconds(6);
+  cfg.verify_signatures = true;
+  cfg.adversaries = {spec_of(3, "badsig")};
+  Experiment e(cfg);
+  const ExperimentResult r = e.run();
+  EXPECT_TRUE(r.logs_consistent);
+  EXPECT_GT(r.summary.committed_blocks, 0u);
+
+  obs::Registry reg;
+  e.export_metrics(reg);
+  const std::string text = reg.prometheus_text();
+  EXPECT_NE(text.find("vote-bad-sig"), std::string::npos) << text;
 }
 
 TEST(AdversaryDetection, TimeoutEquivocationIsCountedAndExported) {
