@@ -364,8 +364,8 @@ void Experiment::export_metrics(obs::Registry& reg) {
       "commit_latency_seconds",
       "Creation-to-quorum-commit latency distribution", proto);
   lat_hist.reset();
-  for (const Duration d : metrics_.commit_latencies(validators_->quorum_size()))
-    lat_hist.observe(d);
+  for (const auto& vl : metrics_.per_view_latencies(validators_->quorum_size()))
+    lat_hist.observe(vl.second);
 
   // Per-node pacemaker counters plus the derived per-protocol totals the
   // registry sums across nodes (view_change_total, timeout_retransmit_total,

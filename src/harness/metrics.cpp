@@ -28,23 +28,30 @@ void MetricsCollector::on_committed(NodeId /*node*/, const BlockPtr& block, Time
   stat.commits.push_back(when);  // nodes commit a block at most once
 }
 
+template <class F>
+void MetricsCollector::for_each_committed(std::size_t threshold, F&& f) const {
+  std::vector<TimePoint> commits;
+  for (const auto& [id, stat] : blocks_) {
+    if (stat.commits.size() < threshold) continue;
+    commits = stat.commits;
+    std::nth_element(commits.begin(), commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
+                     commits.end());
+    f(stat, commits[threshold - 1] - stat.created);
+  }
+}
+
 MetricsCollector::Summary MetricsCollector::summarize(std::size_t threshold,
                                                       Duration run_duration) const {
   Summary s;
   std::vector<double> latencies;
   std::vector<std::pair<Height, TimePoint>> created_at;  // threshold-committed
-  for (const auto& [id, stat] : blocks_) {
-    if (stat.commits.size() < threshold) continue;
-    auto commits = stat.commits;
-    std::nth_element(commits.begin(), commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
-                     commits.end());
-    const TimePoint kth = commits[threshold - 1];
+  for_each_committed(threshold, [&](const BlockStat& stat, Duration latency) {
     s.committed_blocks++;
     s.committed_payload_bytes += stat.payload_bytes;
     s.max_committed_height = std::max(s.max_committed_height, stat.height);
-    latencies.push_back(to_ms(kth - stat.created));
+    latencies.push_back(to_ms(latency));
     created_at.emplace_back(stat.height, stat.created);
-  }
+  });
 
   // Block period ω: gaps between creation times of consecutive committed
   // heights. A height gap (no threshold commit in between) breaks the pair
@@ -77,31 +84,12 @@ MetricsCollector::Summary MetricsCollector::summarize(std::size_t threshold,
   return s;
 }
 
-std::vector<Duration> MetricsCollector::commit_latencies(
-    std::size_t threshold) const {
-  std::vector<Duration> out;
-  for (const auto& [id, stat] : blocks_) {
-    if (stat.commits.size() < threshold) continue;
-    auto commits = stat.commits;
-    std::nth_element(commits.begin(),
-                     commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
-                     commits.end());
-    out.push_back(commits[threshold - 1] - stat.created);
-  }
-  return out;
-}
-
 std::vector<std::pair<View, Duration>> MetricsCollector::per_view_latencies(
     std::size_t threshold) const {
   std::vector<std::pair<View, Duration>> out;
-  for (const auto& [id, stat] : blocks_) {
-    if (stat.commits.size() < threshold) continue;
-    auto commits = stat.commits;
-    std::nth_element(commits.begin(),
-                     commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
-                     commits.end());
-    out.emplace_back(stat.view, commits[threshold - 1] - stat.created);
-  }
+  for_each_committed(threshold, [&](const BlockStat& stat, Duration latency) {
+    out.emplace_back(stat.view, latency);
+  });
   return out;
 }
 

@@ -46,13 +46,10 @@ class MetricsCollector {
   /// whose commit makes a block count (the paper uses 2f+1).
   Summary summarize(std::size_t threshold, Duration run_duration) const;
 
-  /// Per-block creation → threshold-th-commit latencies, unsorted. Feeds the
-  /// registry's commit-latency histogram.
-  std::vector<Duration> commit_latencies(std::size_t threshold) const;
-
   /// (view, creation → threshold-th-commit latency) pairs for every block
-  /// committed by at least `threshold` nodes, unsorted. Feeds the adversary
-  /// latency-degradation oracle, which judges latency per proposing view.
+  /// committed by at least `threshold` nodes, unsorted. Feeds the registry's
+  /// commit-latency histogram and the adversary latency-degradation oracle,
+  /// which judges latency per proposing view.
   std::vector<std::pair<View, Duration>> per_view_latencies(std::size_t threshold) const;
 
  private:
@@ -64,6 +61,11 @@ class MetricsCollector {
     View view = 0;
     std::vector<TimePoint> commits;  // one entry per distinct committing node
   };
+
+  /// Calls f(stat, creation → threshold-th-commit latency) for every block
+  /// committed by at least `threshold` nodes, in blocks_ order.
+  template <class F>
+  void for_each_committed(std::size_t threshold, F&& f) const;
 
   std::unordered_map<BlockId, BlockStat> blocks_;
 };

@@ -1,7 +1,6 @@
 // Composable link-fault filters for the simulated network.
 //
-// The old single drop-filter could only answer "drop or deliver?". Chaos
-// testing needs richer, *stackable* faults: symmetric and asymmetric
+// Chaos testing needs *stackable* faults: symmetric and asymmetric
 // partitions, per-link probabilistic drops, message duplication, and delay
 // spikes — several of which may be active at once with independent
 // lifetimes. Each fault is an ILinkFault; SimNetwork consults an ordered
@@ -111,8 +110,8 @@ class LinkChaosFault final : public ILinkFault {
   Prng prng_;
 };
 
-/// Back-compatibility shim for SimNetwork::set_drop_filter: wraps the old
-/// boolean predicate as a chain member.
+/// Drops every copy for which a caller-supplied predicate holds. For filters
+/// no structured fault expresses, such as dropping one message type.
 class PredicateFault final : public ILinkFault {
  public:
   using Predicate = std::function<bool(NodeId from, NodeId to, const Message&)>;

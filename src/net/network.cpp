@@ -90,18 +90,6 @@ void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
   send_one(from, to, m, wire, egress);
 }
 
-void SimNetwork::set_drop_filter(DropFilter f) {
-  if (predicate_fault_) {
-    faults_.remove(predicate_fault_);
-    predicate_fault_ = nullptr;
-  }
-  if (f) {
-    auto fault = std::make_shared<PredicateFault>(std::move(f));
-    predicate_fault_ = fault.get();
-    faults_.add(std::move(fault));
-  }
-}
-
 void SimNetwork::send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire,
                           TimePoint egress_done) {
   stats_.messages_sent++;

@@ -119,11 +119,6 @@ class SimNetwork final : public INetwork {
   FaultChain& faults() { return faults_; }
   const FaultChain& faults() const { return faults_; }
 
-  /// Legacy single drop filter: installs (or, with nullptr, removes) one
-  /// PredicateFault in the chain. Kept for tests that predate the chain.
-  using DropFilter = std::function<bool(NodeId from, NodeId to, const Message&)>;
-  void set_drop_filter(DropFilter f);
-
   /// Optional tap observing every send (multicast counted once), for trace
   /// analysis such as the conformance checker.
   using Tap = std::function<void(NodeId from, const Message&)>;
@@ -158,7 +153,6 @@ class SimNetwork final : public INetwork {
   std::vector<TimePoint> ingress_free_;  // per-node receive-pipeline availability
   std::vector<bool> silenced_;
   FaultChain faults_;
-  ILinkFault* predicate_fault_ = nullptr;  // the set_drop_filter() chain entry
   Tap tap_;
   obs::Tracer* tracer_ = nullptr;
   NetworkStats stats_;

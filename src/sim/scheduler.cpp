@@ -21,10 +21,16 @@ TaskId Scheduler::schedule_at(TimePoint t, Callback cb) {
 
 TaskId Scheduler::schedule_at(TimePoint t, EventTag tag, Callback cb) {
   MOONSHOT_INVARIANT(t >= now_, "cannot schedule into the past");
-  const TaskId id = next_id_++;
-  heap_.push_back(Event{t, next_seq_++, id, tag, std::move(cb)});
+  if (free_.empty()) {
+    free_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  slots_[slot].state = Slot::State::kQueued;
+  heap_.push_back(Event{t, next_seq_++, slot, tag, std::move(cb)});
+  const TaskId id = id_of(heap_.back());
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  queued_.insert(id);
   return id;
 }
 
@@ -36,15 +42,34 @@ TaskId Scheduler::schedule_after(Duration d, EventTag tag, Callback cb) {
   return schedule_at(now_ + d, tag, std::move(cb));
 }
 
+Scheduler::Slot* Scheduler::live(TaskId id) {
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return nullptr;
+  Slot& s = slots_[slot];
+  if (s.gen != id >> 32 || s.state != Slot::State::kQueued) return nullptr;
+  return &s;
+}
+
 void Scheduler::cancel(TaskId id) {
-  // Only ids still in the queue are recorded: cancelling an already-run or
-  // unknown id (a timer racing its own expiry) must not leave a stale entry
-  // that would distort pending().
-  if (queued_.contains(id)) cancelled_.insert(id);
+  // An already-run id (a timer racing its own expiry) names an older
+  // generation than its slot's, so it is a no-op here.
+  if (Slot* s = live(id)) {
+    s->state = Slot::State::kCancelled;
+    ++cancelled_count_;
+  }
+}
+
+bool Scheduler::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  const bool was_cancelled = s.state == Slot::State::kCancelled;
+  if (was_cancelled) --cancelled_count_;
+  s.state = Slot::State::kFree;
+  if (++s.gen == 0) s.gen = 1;  // keep 0 an invalid id across wrap-around
+  free_.push_back(slot);
+  return was_cancelled;
 }
 
 void Scheduler::execute(Event ev) {
-  queued_.erase(ev.id);
   if (ev.t > now_) now_ = ev.t;
   ++executed_;
   fnv1a_fold(fingerprint_, static_cast<std::uint64_t>(ev.t.ns));
@@ -57,10 +82,7 @@ bool Scheduler::run_next() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Event ev = std::move(heap_.back());
     heap_.pop_back();
-    if (cancelled_.erase(ev.id)) {
-      queued_.erase(ev.id);
-      continue;
-    }
+    if (release(ev.slot)) continue;
     execute(std::move(ev));
     return true;
   }
@@ -70,8 +92,8 @@ bool Scheduler::run_next() {
 void Scheduler::run_until(TimePoint limit) {
   while (!heap_.empty()) {
     const Event& top = heap_.front();
-    if (cancelled_.erase(top.id)) {
-      queued_.erase(top.id);
+    if (cancelled(top)) {
+      release(top.slot);
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
       heap_.pop_back();
       continue;
@@ -91,8 +113,8 @@ std::vector<PendingEvent> Scheduler::frontier() const {
   std::vector<PendingEvent> out;
   out.reserve(heap_.size());
   for (const Event& ev : heap_) {
-    if (cancelled_.contains(ev.id)) continue;
-    out.push_back(PendingEvent{ev.id, ev.t, ev.seq, ev.tag});
+    if (cancelled(ev)) continue;
+    out.push_back(PendingEvent{id_of(ev), ev.t, ev.seq, ev.tag});
   }
   std::sort(out.begin(), out.end(),
             [](const PendingEvent& a, const PendingEvent& b) {
@@ -108,24 +130,26 @@ std::uint64_t Scheduler::run_internal(std::uint64_t max_events) {
     const Event* best = nullptr;
     for (const Event& ev : heap_) {
       if (ev.tag.kind != EventTag::Kind::kInternal) continue;
-      if (cancelled_.contains(ev.id)) continue;
+      if (cancelled(ev)) continue;
       if (!best || ev.t < best->t || (ev.t == best->t && ev.seq < best->seq)) best = &ev;
     }
     if (!best) break;
-    run_task(best->id);
+    run_task(id_of(*best));
     ++ran;
   }
   return ran;
 }
 
 bool Scheduler::run_task(TaskId id) {
-  if (!queued_.contains(id) || cancelled_.contains(id)) return false;
+  if (!live(id)) return false;
+  const auto slot = static_cast<std::uint32_t>(id);
   auto it = std::find_if(heap_.begin(), heap_.end(),
-                         [id](const Event& ev) { return ev.id == id; });
-  MOONSHOT_INVARIANT(it != heap_.end(), "queued_ id missing from heap");
+                         [slot](const Event& ev) { return ev.slot == slot; });
+  MOONSHOT_INVARIANT(it != heap_.end(), "queued slot missing from heap");
   Event ev = std::move(*it);
   heap_.erase(it);
   std::make_heap(heap_.begin(), heap_.end(), Later{});
+  release(slot);
   execute(std::move(ev));
   return true;
 }

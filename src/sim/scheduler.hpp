@@ -3,6 +3,8 @@
 // A Scheduler owns the simulated clock and a priority queue of timestamped
 // callbacks. Events at equal timestamps execute in scheduling order (stable),
 // which — together with seeded PRNGs — makes every run bit-reproducible.
+// Cancellation needs no lookup structure: each queued event owns a reusable
+// slot holding its state, and a TaskId names the slot plus its generation.
 //
 // Events may carry an EventTag classifying them as *choice points* for the
 // model-checking explorer (src/mc/): message deliveries and protocol timers.
@@ -19,93 +21,11 @@
 
 namespace moonshot::sim {
 
-/// Handle for cancelling a scheduled event. 0 is never a valid id.
+/// Handle for cancelling a scheduled event: (generation << 32) | slot. Each
+/// queued event owns a slot; when it leaves the queue (run or discarded) the
+/// slot's generation advances, so a stale id never matches the slot's next
+/// occupant. Generations start at 1, so 0 is never a valid id.
 using TaskId = std::uint64_t;
-
-/// Flat open-addressed set of TaskIds for the scheduler's hot path. TaskIds
-/// start at 1, so 0 marks an empty slot and UINT64_MAX a tombstone.
-/// Power-of-two capacity with linear probing: steady-state insert, erase,
-/// and lookup touch one contiguous array and allocate nothing, unlike the
-/// node-per-element unordered_set it replaces (which dominated the
-/// schedule/cancel churn profile of short-lived simulations).
-class IdSet {
- public:
-  bool contains(TaskId id) const {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == id) return true;
-      if (slots_[i] == kEmpty) return false;
-    }
-  }
-
-  void insert(TaskId id) {
-    if (slots_.empty() || (used_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t tomb = SIZE_MAX;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == id) return;
-      if (slots_[i] == kTomb && tomb == SIZE_MAX) tomb = i;
-      if (slots_[i] == kEmpty) {
-        if (tomb != SIZE_MAX) {
-          slots_[tomb] = id;  // reuse the tombstone; used_ unchanged
-        } else {
-          slots_[i] = id;
-          ++used_;
-        }
-        ++size_;
-        return;
-      }
-    }
-  }
-
-  /// Removes `id` if present; returns whether it was.
-  bool erase(TaskId id) {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == id) {
-        slots_[i] = kTomb;
-        --size_;
-        return true;
-      }
-      if (slots_[i] == kEmpty) return false;
-    }
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  static constexpr TaskId kEmpty = 0;
-  static constexpr TaskId kTomb = UINT64_MAX;
-
-  static std::size_t hash(TaskId id) {
-    // splitmix64 finalizer: sequential ids scatter uniformly.
-    std::uint64_t x = id;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-
-  void grow() {
-    std::size_t cap = 16;
-    while (cap < size_ * 4) cap <<= 1;
-    std::vector<TaskId> old = std::move(slots_);
-    slots_.assign(cap, kEmpty);
-    size_ = 0;
-    used_ = 0;
-    for (TaskId id : old) {
-      if (id != kEmpty && id != kTomb) insert(id);
-    }
-  }
-
-  std::vector<TaskId> slots_;
-  std::size_t size_ = 0;  // live entries
-  std::size_t used_ = 0;  // live entries + tombstones (drives rehash)
-};
 
 /// Classification of a scheduled event for systematic exploration. Untagged
 /// (kInternal) events are deterministic bookkeeping the explorer always runs
@@ -189,7 +109,7 @@ class Scheduler {
   /// number of events run; `max_events` is a runaway guard.
   std::uint64_t run_internal(std::uint64_t max_events = 1 << 20);
 
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return heap_.size() - cancelled_count_; }
   std::uint64_t events_executed() const { return executed_; }
 
   /// Order-sensitive digest of the execution so far: folds the (time, seq) of
@@ -201,8 +121,8 @@ class Scheduler {
  private:
   struct Event {
     TimePoint t;
-    std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps
-    TaskId id;
+    std::uint64_t seq;   // tie-breaker: FIFO among equal timestamps
+    std::uint32_t slot;  // index into slots_
     EventTag tag;
     Callback cb;
   };
@@ -212,18 +132,36 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
+  /// Cancellation state of one queued event. Slots are recycled through
+  /// free_; `gen` advances each time the occupant leaves the heap.
+  struct Slot {
+    enum class State : std::uint8_t { kFree, kQueued, kCancelled };
+    std::uint32_t gen = 1;
+    State state = State::kFree;
+  };
 
+  TaskId id_of(const Event& ev) const {
+    return (TaskId{slots_[ev.slot].gen} << 32) | ev.slot;
+  }
+  bool cancelled(const Event& ev) const {
+    return slots_[ev.slot].state == Slot::State::kCancelled;
+  }
+  /// The slot `id` names if its event is still queued and not cancelled.
+  Slot* live(TaskId id);
+  /// Frees the slot of an event that left the heap; returns whether the
+  /// event had been cancelled.
+  bool release(std::uint32_t slot);
   void execute(Event ev);
 
   // Binary heap ordered by Later (min (t, seq) at front), maintained with
   // std::push_heap/pop_heap. A plain vector (rather than priority_queue) so
   // frontier() can enumerate and run_task() can extract arbitrary entries.
   std::vector<Event> heap_;
-  IdSet cancelled_;
-  IdSet queued_;  // ids still in heap_; bounds cancelled_
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t cancelled_count_ = 0;  // heap_ entries whose slot is kCancelled
   TimePoint now_ = TimePoint::zero();
   std::uint64_t next_seq_ = 0;
-  TaskId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t fingerprint_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
 };

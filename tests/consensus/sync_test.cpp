@@ -30,12 +30,11 @@ TEST_P(PartitionRecoveryTest, IsolatedNodeCatchesUpAfterHeal) {
   // the block bodies it missed and converge to the same chain.
   auto cfg = lan_config(GetParam(), 4);
   Experiment e(cfg);
-  auto& sched = e.scheduler();
-  const TimePoint heal{seconds(4).count()};
-  e.network().set_drop_filter([&sched, heal](NodeId from, NodeId to, const Message&) {
-    if (sched.now() >= heal) return false;
-    return from == 3 || to == 3;
-  });
+  auto& net = e.network();
+  const auto cut = std::make_shared<net::PartitionFault>(4, std::vector<std::vector<NodeId>>{{3}});
+  net.faults().add(cut);
+  e.scheduler().schedule_at(TimePoint{seconds(4).count()},
+                            [&net, cut] { net.faults().remove(cut.get()); });
 
   const auto result = e.run();
   EXPECT_TRUE(result.logs_consistent);
@@ -67,12 +66,14 @@ TEST(SyncProtocol, RequestsAreBounded) {
   Experiment e(cfg);
   // Node 3 receives certificates (small messages pass) but no blocks: drop
   // only proposals and block responses towards it.
-  e.network().set_drop_filter([](NodeId /*from*/, NodeId to, const Message& m) {
-    if (to != 3) return false;
-    return std::holds_alternative<ProposalMsg>(m) || std::holds_alternative<OptProposalMsg>(m) ||
-           std::holds_alternative<FbProposalMsg>(m) ||
-           std::holds_alternative<BlockResponseMsg>(m);
-  });
+  e.network().faults().add(
+      std::make_shared<net::PredicateFault>([](NodeId /*from*/, NodeId to, const Message& m) {
+        if (to != 3) return false;
+        return std::holds_alternative<ProposalMsg>(m) ||
+               std::holds_alternative<OptProposalMsg>(m) ||
+               std::holds_alternative<FbProposalMsg>(m) ||
+               std::holds_alternative<BlockResponseMsg>(m);
+      }));
   const auto result = e.run();
   EXPECT_TRUE(result.logs_consistent);
   // Node 3 can form certificates from votes but never commits (no bodies).
@@ -106,10 +107,11 @@ TEST(LsoMode, LosesReorgResilienceWhenOptProposalFails) {
     cfg.duration = seconds(6);
     cfg.lso_mode = lso;
     Experiment e(cfg);
-    e.network().set_drop_filter([](NodeId, NodeId, const Message& m) {
-      const auto* v = std::get_if<VoteMsg>(&m);
-      return v && v->vote.view == 2 && v->vote.kind != VoteKind::kCommit;
-    });
+    e.network().faults().add(
+        std::make_shared<net::PredicateFault>([](NodeId, NodeId, const Message& m) {
+          const auto* v = std::get_if<VoteMsg>(&m);
+          return v && v->vote.view == 2 && v->vote.kind != VoteKind::kCommit;
+        }));
     e.run();
     std::set<View> views;
     for (const auto& b : e.node(0).commit_log().blocks()) views.insert(b->view());

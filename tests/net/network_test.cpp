@@ -128,9 +128,7 @@ TEST(SimNetwork, DropFilterPartitions) {
                    cap.deliveries.push_back({to, from, sched.now()});
                  });
   // Partition {0,1} | {2,3}.
-  net.set_drop_filter([](NodeId from, NodeId to, const Message&) {
-    return (from < 2) != (to < 2);
-  });
+  net.faults().add(std::make_shared<PartitionFault>(4, std::vector<std::vector<NodeId>>{{0, 1}}));
   net.multicast(0, tiny_message(0));
   sched.run_all();
   // Self + node 1 only.

@@ -38,7 +38,11 @@ TEST(Scheduler, CancelPreventsExecution) {
   Scheduler s;
   bool ran = false;
   const TaskId id = s.schedule_at(TimePoint{10}, [&] { ran = true; });
+  s.schedule_at(TimePoint{20}, [] {});
   s.cancel(id);
+  s.cancel(id);  // idempotent
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.run_task(id));
   s.run_all();
   EXPECT_FALSE(ran);
   EXPECT_EQ(s.pending(), 0u);
@@ -103,6 +107,7 @@ TEST(Scheduler, CancelFromInsideOwnCallbackIsNoop) {
   self = s.schedule_at(TimePoint{10}, [&] {
     ++runs;
     s.cancel(self);
+    EXPECT_EQ(s.pending(), 0u);
   });
   s.run_all();
   EXPECT_EQ(runs, 1);
@@ -118,6 +123,9 @@ TEST(Scheduler, CancelAfterExpiryDoesNotPoisonLaterTasks) {
   s.cancel(first);  // raced: the expiry already happened
   bool ran = false;
   s.schedule_at(TimePoint{20}, [&] { ran = true; });
+  EXPECT_EQ(s.pending(), 1u);
+  // The later task reuses `first`'s slot; the stale id must still miss it.
+  s.cancel(first);
   EXPECT_EQ(s.pending(), 1u);
   s.run_all();
   EXPECT_TRUE(ran);
@@ -254,6 +262,47 @@ TEST(Scheduler, RunInternalDrainsOnlyUntaggedEvents) {
   EXPECT_FALSE(delivery);  // tagged events are the explorer's to run
   ASSERT_EQ(s.frontier().size(), 1u);
   EXPECT_EQ(s.frontier()[0].tag.kind, EventTag::Kind::kDelivery);
+}
+
+TEST(Scheduler, FingerprintIsPinned) {
+  // One fixed script through every path that folds into fingerprint():
+  // equal-time FIFO, cancel before run, cancel from the event's own
+  // callback, a cancelled head under run_until, an out-of-order run_task and
+  // run_internal. The constants are the (time, seq) digest this script has
+  // always produced; a change means replay digests moved too.
+  Scheduler s;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) s.schedule_at(TimePoint{100}, [&, i] { order.push_back(i); });
+  const TaskId doomed = s.schedule_at(TimePoint{50}, [&] { order.push_back(-1); });
+  s.cancel(doomed);
+  TaskId self = 0;
+  self = s.schedule_at(TimePoint{60}, [&] {
+    order.push_back(10);
+    s.cancel(self);
+  });
+  s.run_until(TimePoint{100});
+
+  const TaskId head = s.schedule_at(TimePoint{150}, [&] { order.push_back(-2); });
+  s.schedule_at(TimePoint{200}, [&] { order.push_back(20); });
+  s.cancel(head);
+  s.run_until(TimePoint{250});
+
+  const TaskId early =
+      s.schedule_at(TimePoint{300}, EventTag::delivery(0, 1, 0), [&] { order.push_back(30); });
+  const TaskId late = s.schedule_at(TimePoint{400}, EventTag::delivery(1, 0, 0), [&] {
+    order.push_back(40);
+    s.schedule_after(Duration(5), [&] { order.push_back(41); });
+  });
+  EXPECT_TRUE(s.run_task(late));
+  EXPECT_EQ(s.run_internal(), 1u);
+  EXPECT_TRUE(s.run_task(early));
+  s.schedule_at(TimePoint{500}, [&] { order.push_back(50); });
+  s.cancel(s.schedule_at(TimePoint{600}, [&] { order.push_back(-3); }));
+
+  EXPECT_EQ(order, (std::vector<int>{10, 0, 1, 2, 20, 40, 41, 30}));
+  EXPECT_EQ(s.fingerprint(), 0x709ac47f927a1a74ull);
+  EXPECT_EQ(s.events_executed(), 8u);
+  EXPECT_EQ(s.pending(), 1u);
 }
 
 }  // namespace
