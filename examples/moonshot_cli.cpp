@@ -38,17 +38,6 @@ void usage() {
       "  --backoff                  exponential pacemaker backoff\n");
 }
 
-bool parse_protocol(const char* s, ProtocolKind* out) {
-  const std::string v(s);
-  if (v == "sm") *out = ProtocolKind::kSimpleMoonshot;
-  else if (v == "pm") *out = ProtocolKind::kPipelinedMoonshot;
-  else if (v == "cm") *out = ProtocolKind::kCommitMoonshot;
-  else if (v == "j") *out = ProtocolKind::kJolteon;
-  else if (v == "hs") *out = ProtocolKind::kHotStuff;
-  else return false;
-  return true;
-}
-
 bool parse_schedule(const char* s, ScheduleKind* out) {
   const std::string v(s);
   if (v == "rr") *out = ScheduleKind::kRoundRobin;
@@ -79,10 +68,12 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     } else if (is("--protocol")) {
-      if (!parse_protocol(value(), &cfg.protocol)) {
+      const auto p = parse_protocol_tag(value());
+      if (!p) {
         std::fprintf(stderr, "unknown protocol\n");
         return 2;
       }
+      cfg.protocol = *p;
     } else if (is("--n")) {
       cfg.n = static_cast<std::size_t>(std::atoll(value()));
     } else if (is("--payload")) {

@@ -115,7 +115,6 @@ class AdversaryNode final : public BaseNode {
   QcPtr high_qc_ = QuorumCert::genesis_qc();
   View voted_view_ = 0;    // mimic votes at most once per view
   View opt_led_view_ = 0;  // optimistic proposal released at most once per view
-  View timeout_view_ = 0;  // highest view we multicast a timeout for
 };
 
 }  // namespace moonshot::adversary

@@ -52,7 +52,17 @@ void BaseNode::restore_from_wal(const wal::RecoveredState& state) {
       ctx_.wal->append_commit(*committed_now[i]);
   }
   if (state.resume_view > view_) view_ = state.resume_view;
+  timeout_view_ = state.voting.timeout_view;
   on_wal_restored(state);
+}
+
+void BaseNode::start() {
+  const bool cold_start = view_ == 0;
+  if (cold_start) view_ = 1;
+  note_view_entered(view_, /*reason=*/0, 0);
+  arm_pacemaker();
+  if (cold_start && i_am_leader(1)) propose_first();
+  try_vote();
 }
 
 void BaseNode::multicast(MessagePtr m) {
@@ -248,6 +258,54 @@ void BaseNode::cancel_view_timer() {
     view_timer_ = 0;
   }
   ++timer_generation_;
+}
+
+void BaseNode::begin_view(View new_view, const TcPtr& via_tc) {
+  if (!via_tc) note_progress();
+  trace(obs::EventKind::kViewExit, view_, /*views_spent=*/1, new_view);
+  const View prev = view_;
+  view_ = new_view;
+  note_view_entered(view_, via_tc ? 2 : 1, prev);
+  entry_tc_ = via_tc;
+  arm_pacemaker();
+  const View depth = static_cast<View>(commit_chain_length_);
+  if (view_ > depth) {
+    vote_acc_.prune_below(view_ - depth);
+    timeout_acc_.prune_below(view_ - depth);
+  }
+}
+
+void BaseNode::send_timeout(View view) {
+  if (timeout_view_ >= view) return;
+  timeout_view_ = view;
+  multicast(make_message<TimeoutMsgWrap>(make_timeout(view, timeout_qc())));
+}
+
+void BaseNode::on_view_timer_expired() {
+  if (timeout_view_ < view_) {
+    note_timeout_fired(view_);
+    note_timeout();
+    send_timeout(view_);
+  } else {
+    note_timeout_retransmitted(view_);
+    multicast(make_message<TimeoutMsgWrap>(make_timeout(view_, timeout_qc())));
+  }
+  retransmit_proposal(view_);
+  arm_pacemaker();
+}
+
+void BaseNode::answer_stale_timeout(NodeId from, View view, const QcPtr& best_qc) {
+  if (view >= view_) return;
+  if (best_qc->view >= view) {
+    unicast(from, make_message<CertMsg>(best_qc, ctx_.id));
+  } else if (entry_tc_ && entry_tc_->view >= view) {
+    unicast(from, make_message<TcMsg>(entry_tc_, ctx_.id));
+  }
+}
+
+bool BaseNode::link_valid(const BlockPtr& block) const {
+  const BlockPtr parent = store_.get(block->parent());
+  return parent && block->height() == parent->height() + 1 && block->view() > parent->view();
 }
 
 void BaseNode::request_block(const BlockId& id) {

@@ -1,11 +1,12 @@
-// Machinery shared by all four protocol implementations (three Moonshots and
-// Jolteon): block storage, deferred commits, the two-chain commit rule over
-// a per-view certificate table, view timers, and signing/send helpers.
+// Machinery shared by every protocol implementation (the three Moonshots,
+// Jolteon and HotStuff): block storage, deferred commits, the k-chain commit
+// rule over a per-view certificate table, the pacemaker (view timer,
+// timeouts and their retransmission, stale-timeout catch-up) and
+// signing/send helpers.
 //
-// Subclasses implement the message handlers; BaseNode owns no protocol
-// rules beyond the commit-rule plumbing every chained protocol here shares:
-// "commit B when B is certified in view v and its direct child is certified
-// in view v+1".
+// Subclasses implement the message handlers and supply the few pacemaker
+// parameters that differ: the timer multiple, what a timeout carries and
+// the cold-start proposal. BaseNode owns no vote or proposal rules.
 #pragma once
 
 #include <map>
@@ -37,11 +38,18 @@ class BaseNode : public IConsensusNode {
   void halt() override;
 
   /// Rebuilds ledger state *and* durable voting state from a replayed WAL;
-  /// must precede start(). Subclasses pick up their vote/timeout guards via
-  /// on_wal_restored().
+  /// must precede start(). Restores the timeout guard; subclasses pick up
+  /// their vote guards and locks via on_wal_restored().
   void restore_from_wal(const wal::RecoveredState& state) override;
 
+  /// Cold start enters view 1; a crash-recovered node (restore_from_wal()
+  /// set view_) resumes in its restored view and catches up via incoming
+  /// certificates rather than replaying view-1 actions.
+  void start() override;
+
   NodeId id() const { return ctx_.id; }
+  /// Highest view this node sent ⟨timeout⟩ for.
+  View timeout_view() const { return timeout_view_; }
 
   /// Pacemaker counters plus accumulator/cert-cache statistics, merged on
   /// read so the registry export sees live values without extra bookkeeping
@@ -177,7 +185,47 @@ class BaseNode : public IConsensusNode {
   /// on_view_timer_expired().
   void arm_view_timer(Duration d);
   void cancel_view_timer();
-  virtual void on_view_timer_expired() = 0;
+
+  // --- pacemaker ---------------------------------------------------------------
+  /// View timer length in Δ (Table I: 5 for Simple Moonshot, 3 for Pipelined
+  /// and Commit Moonshot, 4 for Jolteon and HotStuff). Set by subclasses in
+  /// the constructor.
+  int timer_deltas_ = 3;
+  /// Arms the view timer at the backed-off timer_deltas_·Δ.
+  void arm_pacemaker() { arm_view_timer(backed_off(ctx_.delta * timer_deltas_)); }
+
+  /// The certificate a timeout carries: none (Simple Moonshot), the lock
+  /// (Pipelined/Commit Moonshot) or the high-QC (Jolteon/HotStuff).
+  virtual QcPtr timeout_qc() const { return nullptr; }
+  /// The cold-start proposal of view 1's leader.
+  virtual void propose_first() {}
+  /// Evaluates the protocol's vote rules against the proposals buffered for
+  /// the current view.
+  virtual void try_vote() {}
+
+  /// Enters `new_view`, certified by a QC (`via_tc` null) or by `via_tc`:
+  /// QC-driven entry resets backoff, the view timer is re-armed and the
+  /// accumulators forget views a commit chain can no longer reach.
+  void begin_view(View new_view, const TcPtr& via_tc);
+
+  /// Multicasts ⟨timeout, view⟩ carrying timeout_qc(), at most once per view.
+  void send_timeout(View view);
+  /// The first expiry in a view sends the timeout; later ones retransmit it
+  /// with the current, possibly fresher, certificate, so one lost timeout
+  /// cannot stall the view forever. Either way the node's own proposal for
+  /// the view is retransmitted (leaders speak once per view, so one lost
+  /// proposal would otherwise cost two timeout rounds) and the timer stays
+  /// armed until the view advances.
+  virtual void on_view_timer_expired();
+  /// A timeout for a view this node already left means its sender is stuck
+  /// there (e.g. the certificate that advanced us was lost on its link).
+  /// Re-sends the evidence for a later view — `best_qc` when it reaches the
+  /// timeout's view, else the TC that brought us here — so the pacemakers
+  /// re-converge on one view instead of splitting timeouts below quorum.
+  void answer_stale_timeout(NodeId from, View view, const QcPtr& best_qc);
+
+  /// True iff the block's parent is stored and heights/views are consistent.
+  bool link_valid(const BlockPtr& block) const;
 
   /// Exponential pacemaker backoff. The paper's analyses fix τ as a multiple
   /// of Δ after GST; practical deployments (including the Jolteon codebase
@@ -197,6 +245,8 @@ class BaseNode : public IConsensusNode {
 
   NodeContext ctx_;
   View view_ = 0;  // 0 = not started; start() enters view 1
+  View timeout_view_ = 0;  // highest view this node sent ⟨timeout⟩ for
+  TcPtr entry_tc_;         // TC that drove the latest view entry (null if QC-driven)
   BlockStore store_;
   CommitLog commit_log_;
   VoteAccumulator vote_acc_;

@@ -4,109 +4,21 @@
 
 namespace moonshot {
 
-namespace {
-constexpr int kTimerDeltas = 4;  // Table I: view length 4Δ
-}  // namespace
-
-HotStuffNode::HotStuffNode(NodeContext ctx) : BaseNode(std::move(ctx)) {
+HotStuffNode::HotStuffNode(NodeContext ctx) : JolteonNode(std::move(ctx)) {
   commit_chain_length_ = 3;  // the three-chain rule
 }
 
 void HotStuffNode::on_wal_restored(const wal::RecoveredState& rs) {
-  last_voted_round_ = rs.voting.last[static_cast<std::size_t>(VoteKind::kNormal)].view;
-  timeout_round_ = rs.voting.timeout_view;
-  if (rs.high_qc && rs.high_qc->rank() > high_qc_->rank()) high_qc_ = rs.high_qc;
+  JolteonNode::on_wal_restored(rs);
   // Replaying the certificates re-derives the two-chain lock.
   for (const QcPtr& qc : rs.certificates) update_preferred(qc);
 }
 
-void HotStuffNode::start() {
-  // Cold start enters view 1; a crash-recovered node (restore_from_wal() set
-  // view_) resumes in its restored view and catches up via incoming
-  // certificates.
-  const bool cold_start = view_ == 0;
-  if (cold_start) view_ = 1;
-  note_view_entered(view_, /*reason=*/0, 0);
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-  if (cold_start && i_am_leader(1)) propose();
-  try_vote();
-}
-
-void HotStuffNode::handle(NodeId from, const MessagePtr& m) {
-  if (handle_sync(from, *m)) return;
-  std::visit(
-      [&](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, ProposalMsg>) {
-          if (!msg.block || !msg.justify) return;
-          const View r = msg.block->view();
-          if (r < 1 || leader_of(r) != from) return;
-          if (msg.block->parent() != msg.justify->block) return;
-          if (msg.justify->view + 1 != r) {
-            if (!msg.tc || msg.tc->view + 1 != r) return;
-            if (msg.justify->rank() < msg.tc->high_qc_view()) return;
-            if (!check_tc(*msg.tc)) return;
-          }
-          if (!check_qc(*msg.justify)) return;
-          trace(obs::EventKind::kProposalRecv, r, msg.block->height(), from);
-          store_block(msg.block);
-          pending_prop_.emplace(r, msg);
-          handle_qc(msg.justify, /*already_validated=*/true);
-          if (msg.tc) handle_tc(msg.tc, /*already_validated=*/true);
-          try_vote();
-        } else if constexpr (std::is_same_v<T, VoteMsg>) {
-          if (msg.vote.voter != from) return;
-          if (msg.vote.kind != VoteKind::kNormal) return;
-          trace(obs::EventKind::kVoteRecv, msg.vote.view,
-                static_cast<std::uint64_t>(msg.vote.kind), from);
-          const BlockPtr body = store_.get(msg.vote.block);
-          if (const QcPtr qc = vote_acc_.add(msg.vote, body ? body->height() : 0)) {
-            handle_qc(qc, /*already_validated=*/true);
-          }
-        } else if constexpr (std::is_same_v<T, TimeoutMsgWrap>) {
-          if (msg.timeout.sender != from) return;
-          if (msg.timeout.view < 1) return;
-          if (msg.timeout.high_qc) handle_qc(msg.timeout.high_qc, /*already_validated=*/false);
-          if (msg.timeout.view < view_) {
-            // Stale timeout: help the stuck sender catch up (see simple
-            // moonshot) so timeout quorums re-converge on a single round.
-            if (high_qc_->view >= msg.timeout.view) {
-              unicast(from, make_message<CertMsg>(high_qc_, ctx_.id));
-            } else if (entry_tc_ && entry_tc_->view >= msg.timeout.view) {
-              unicast(from, make_message<TcMsg>(entry_tc_, ctx_.id));
-            }
-          }
-          const auto result = timeout_acc_.add(msg.timeout);
-          if (result.reached_f_plus_1 && msg.timeout.view >= view_)
-            send_timeout(msg.timeout.view);
-          if (result.tc) {
-            trace(obs::EventKind::kTcFormed, result.tc->view, result.tc->high_qc_view());
-            handle_tc(result.tc, /*already_validated=*/true);
-          }
-        } else if constexpr (std::is_same_v<T, CertMsg>) {
-          if (msg.qc) handle_qc(msg.qc, /*already_validated=*/false);
-        } else if constexpr (std::is_same_v<T, TcMsg>) {
-          if (msg.tc) handle_tc(msg.tc, /*already_validated=*/false);
-        } else {
-          // Moonshot-specific message types are not part of HotStuff.
-        }
-      },
-      *m);
-}
-
-void HotStuffNode::handle_qc(const QcPtr& qc, bool already_validated) {
-  if (!qc || qc->kind != VoteKind::kNormal) return;
-  const QcPtr known = qc_for_view(qc->view);
-  const bool duplicate = known && known->block == qc->block;
-  if (duplicate && qc->view + 1 <= view_) return;
-  if (!duplicate && !already_validated && !check_qc(*qc)) return;
-
-  record_qc_and_try_commit(qc);
+void HotStuffNode::update_lock(const QcPtr& qc) {
+  // The high-QC still picks the parent of the next proposal; the lock that
+  // the vote rule checks is the preferred round.
   if (qc->rank() > high_qc_->rank()) high_qc_ = qc;
   update_preferred(qc);
-
-  if (qc->view >= view_) advance_to(qc->view + 1, nullptr);
-  try_vote();
 }
 
 void HotStuffNode::update_preferred(const QcPtr& qc) {
@@ -120,108 +32,6 @@ void HotStuffNode::update_preferred(const QcPtr& qc) {
     preferred_round_ = parent->view();
     trace(obs::EventKind::kLockUpdated, preferred_round_, obs::id_prefix(parent->id()));
   }
-}
-
-void HotStuffNode::handle_tc(const TcPtr& tc, bool already_validated) {
-  if (!tc) return;
-  if (tc->view < view_) return;
-  if (!already_validated && !check_tc(*tc)) return;
-  if (tc->high_qc) handle_qc(tc->high_qc, /*already_validated=*/true);
-  send_timeout(tc->view);
-  advance_to(tc->view + 1, tc);
-}
-
-void HotStuffNode::advance_to(View new_round, const TcPtr& via_tc) {
-  if (new_round <= view_) return;
-  if (!via_tc) note_progress();
-  trace(obs::EventKind::kViewExit, view_, /*views_spent=*/1, new_round);
-  const View prev = view_;
-  view_ = new_round;
-  note_view_entered(view_, via_tc ? 2 : 1, prev);
-  entry_tc_ = via_tc;
-  proposed_in_round_ = false;
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-
-  if (view_ > 3) {
-    vote_acc_.prune_below(view_ - 3);
-    timeout_acc_.prune_below(view_ - 3);
-    pending_prop_.erase(pending_prop_.begin(), pending_prop_.lower_bound(view_));
-  }
-
-  if (i_am_leader(view_)) propose();
-  try_vote();
-}
-
-void HotStuffNode::propose() {
-  if (proposed_in_round_) return;
-  const BlockPtr parent = store_.get(high_qc_->block);
-  if (!parent) {
-    request_block(high_qc_->block);  // fetch; on_block_stored retries
-    return;
-  }
-  proposed_in_round_ = true;
-  const BlockPtr block = create_block(view_, parent);
-  const MessagePtr msg = make_message<ProposalMsg>(
-      block, high_qc_, high_qc_->view + 1 == view_ ? nullptr : entry_tc_, ctx_.id);
-  remember_proposal(view_, msg);
-  trace(obs::EventKind::kProposalSent, view_, block->height(), block->payload().wire_size());
-  multicast(msg);
-}
-
-void HotStuffNode::try_vote() {
-  if (view_ < 1) return;
-  if (last_voted_round_ >= view_ || timeout_round_ >= view_) return;
-  auto it = pending_prop_.find(view_);
-  if (it == pending_prop_.end()) return;
-  const BlockPtr& block = it->second.block;
-  const QcPtr& justify = it->second.justify;
-  const TcPtr& tc = it->second.tc;
-
-  const bool direct = justify->view + 1 == view_;
-  const bool via_tc = tc && tc->view + 1 == view_ && justify->rank() >= tc->high_qc_view();
-  if (!direct && !via_tc) return;
-  // HotStuff safety rule: the justification must be at least as recent as
-  // the locked (preferred) round.
-  if (justify->view < preferred_round_) return;
-  if (block->parent() != justify->block || !link_valid(block)) return;
-
-  const auto vote = make_vote(VoteKind::kNormal, view_, block->id());
-  if (!vote) return;
-  last_voted_round_ = view_;
-  unicast(leader_of(view_ + 1), make_message<VoteMsg>(*vote));
-}
-
-void HotStuffNode::send_timeout(View round) {
-  if (timeout_round_ >= round) return;
-  timeout_round_ = round;
-  multicast(make_message<TimeoutMsgWrap>(make_timeout(round, high_qc_)));
-}
-
-void HotStuffNode::on_view_timer_expired() {
-  if (timeout_round_ < view_) {
-    note_timeout();
-    note_timeout_fired(view_);
-    send_timeout(view_);
-  } else {
-    // Retransmit a possibly-lost timeout and stay armed (see pipelined).
-    note_timeout_retransmitted(view_);
-    multicast(make_message<TimeoutMsgWrap>(make_timeout(view_, high_qc_)));
-  }
-  retransmit_proposal(view_);  // our own proposal may be the lost message
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-}
-
-void HotStuffNode::on_block_stored(const BlockPtr& block) {
-  // Leader retry first: after a TC-driven entry the high-QC block can be
-  // many views old, so it must not be filtered by the staleness guard below.
-  if (i_am_leader(view_) && !proposed_in_round_ && high_qc_->block == block->id()) propose();
-  if (block->view() + 1 < view_) return;
-  try_vote();
-}
-
-bool HotStuffNode::link_valid(const BlockPtr& block) const {
-  const BlockPtr parent = store_.get(block->parent());
-  return parent && block->height() == parent->height() + 1 && block->view() > parent->view();
 }
 
 }  // namespace moonshot

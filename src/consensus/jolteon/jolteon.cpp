@@ -4,28 +4,13 @@
 
 namespace moonshot {
 
-namespace {
-constexpr int kTimerDeltas = 4;  // Table I: HotStuff-family view length 4Δ
-}  // namespace
-
-JolteonNode::JolteonNode(NodeContext ctx) : BaseNode(std::move(ctx)) {}
+JolteonNode::JolteonNode(NodeContext ctx) : BaseNode(std::move(ctx)) {
+  timer_deltas_ = 4;  // Table I: HotStuff-family view length 4Δ
+}
 
 void JolteonNode::on_wal_restored(const wal::RecoveredState& rs) {
   last_voted_round_ = rs.voting.last[static_cast<std::size_t>(VoteKind::kNormal)].view;
-  timeout_round_ = rs.voting.timeout_view;
   if (rs.high_qc && rs.high_qc->rank() > high_qc_->rank()) high_qc_ = rs.high_qc;
-}
-
-void JolteonNode::start() {
-  // Cold start enters view 1; a crash-recovered node (restore_from_wal() set
-  // view_) resumes in its restored view and catches up via incoming
-  // certificates.
-  const bool cold_start = view_ == 0;
-  if (cold_start) view_ = 1;
-  note_view_entered(view_, /*reason=*/0, 0);
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-  if (cold_start && i_am_leader(1)) propose();
-  try_vote();
 }
 
 void JolteonNode::handle(NodeId from, const MessagePtr& m) {
@@ -39,8 +24,11 @@ void JolteonNode::handle(NodeId from, const MessagePtr& m) {
           if (r < 1 || leader_of(r) != from) return;
           if (msg.block->parent() != msg.justify->block) return;
           // Either the parent was certified in the directly preceding round,
-          // or a TC for the preceding round justifies the gap.
-          if (msg.justify->view + 1 != r) {
+          // or a TC for the preceding round justifies the gap. A direct
+          // proposal needs no TC, so one attached to it is never checked
+          // and never used.
+          const bool direct = msg.justify->view + 1 == r;
+          if (!direct) {
             if (!msg.tc || msg.tc->view + 1 != r) return;
             if (msg.justify->rank() < msg.tc->high_qc_view()) return;
             if (!check_tc(*msg.tc)) return;
@@ -50,7 +38,7 @@ void JolteonNode::handle(NodeId from, const MessagePtr& m) {
           store_block(msg.block);
           pending_prop_.emplace(r, msg);
           handle_qc(msg.justify, /*already_validated=*/true);
-          if (msg.tc) handle_tc(msg.tc, /*already_validated=*/true);
+          if (!direct) handle_tc(msg.tc, /*already_validated=*/true);
           try_vote();
         } else if constexpr (std::is_same_v<T, VoteMsg>) {
           // Votes arrive only at the next leader (linear steady state).
@@ -66,15 +54,7 @@ void JolteonNode::handle(NodeId from, const MessagePtr& m) {
           if (msg.timeout.sender != from) return;
           if (msg.timeout.view < 1) return;
           if (msg.timeout.high_qc) handle_qc(msg.timeout.high_qc, /*already_validated=*/false);
-          if (msg.timeout.view < view_) {
-            // Stale timeout: help the stuck sender catch up (see simple
-            // moonshot) so timeout quorums re-converge on a single round.
-            if (high_qc_->view >= msg.timeout.view) {
-              unicast(from, make_message<CertMsg>(high_qc_, ctx_.id));
-            } else if (entry_tc_ && entry_tc_->view >= msg.timeout.view) {
-              unicast(from, make_message<TcMsg>(entry_tc_, ctx_.id));
-            }
-          }
+          answer_stale_timeout(from, msg.timeout.view, high_qc_);
           const auto result = timeout_acc_.add(msg.timeout);
           if (result.reached_f_plus_1 && msg.timeout.view >= view_)
             send_timeout(msg.timeout.view);
@@ -87,7 +67,8 @@ void JolteonNode::handle(NodeId from, const MessagePtr& m) {
         } else if constexpr (std::is_same_v<T, TcMsg>) {
           if (msg.tc) handle_tc(msg.tc, /*already_validated=*/false);
         } else {
-          // Opt/fb proposals and status messages are not part of Jolteon.
+          // Opt/fb proposals and status messages are not part of Jolteon
+          // or HotStuff.
         }
       },
       *m);
@@ -101,10 +82,7 @@ void JolteonNode::handle_qc(const QcPtr& qc, bool already_validated) {
   if (!duplicate && !already_validated && !check_qc(*qc)) return;
 
   record_qc_and_try_commit(qc);
-  if (qc->rank() > high_qc_->rank()) {
-    high_qc_ = qc;
-    trace(obs::EventKind::kLockUpdated, qc->view, obs::id_prefix(qc->block));
-  }
+  update_lock(qc);
 
   if (qc->view >= view_) {
     // Advance round via QC. The QC holder is normally the next leader (it
@@ -112,6 +90,12 @@ void JolteonNode::handle_qc(const QcPtr& qc, bool already_validated) {
     advance_to(qc->view + 1, nullptr);
   }
   try_vote();
+}
+
+void JolteonNode::update_lock(const QcPtr& qc) {
+  if (qc->rank() <= high_qc_->rank()) return;
+  high_qc_ = qc;
+  trace(obs::EventKind::kLockUpdated, qc->view, obs::id_prefix(qc->block));
 }
 
 void JolteonNode::handle_tc(const TcPtr& tc, bool already_validated) {
@@ -125,20 +109,9 @@ void JolteonNode::handle_tc(const TcPtr& tc, bool already_validated) {
 
 void JolteonNode::advance_to(View new_round, const TcPtr& via_tc) {
   if (new_round <= view_) return;
-  if (!via_tc) note_progress();  // QC-driven entry resets pacemaker backoff
-  trace(obs::EventKind::kViewExit, view_, /*views_spent=*/1, new_round);
-  const View prev = view_;
-  view_ = new_round;
-  note_view_entered(view_, via_tc ? 2 : 1, prev);
-  entry_tc_ = via_tc;
+  begin_view(new_round, via_tc);
   proposed_in_round_ = false;
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-
-  if (view_ > 2) {
-    vote_acc_.prune_below(view_ - 2);
-    timeout_acc_.prune_below(view_ - 2);
-    pending_prop_.erase(pending_prop_.begin(), pending_prop_.lower_bound(view_));
-  }
+  pending_prop_.erase(pending_prop_.begin(), pending_prop_.lower_bound(view_));
 
   if (i_am_leader(view_)) propose();
   try_vote();
@@ -162,7 +135,7 @@ void JolteonNode::propose() {
 
 void JolteonNode::try_vote() {
   if (view_ < 1) return;
-  if (last_voted_round_ >= view_ || timeout_round_ >= view_) return;
+  if (last_voted_round_ >= view_ || timeout_view_ >= view_) return;
   auto it = pending_prop_.find(view_);
   if (it == pending_prop_.end()) return;
   const BlockPtr& block = it->second.block;
@@ -172,6 +145,7 @@ void JolteonNode::try_vote() {
   const bool direct = justify->view + 1 == view_;
   const bool via_tc = tc && tc->view + 1 == view_ && justify->rank() >= tc->high_qc_view();
   if (!direct && !via_tc) return;
+  if (!respects_lock(justify)) return;
   if (block->parent() != justify->block || !link_valid(block)) return;
 
   const auto vote = make_vote(VoteKind::kNormal, view_, block->id());
@@ -181,38 +155,12 @@ void JolteonNode::try_vote() {
   unicast(leader_of(view_ + 1), make_message<VoteMsg>(*vote));
 }
 
-void JolteonNode::send_timeout(View round) {
-  if (timeout_round_ >= round) return;
-  timeout_round_ = round;
-  // Jolteon timeouts are multicast (quadratic view change) with the high-QC.
-  multicast(make_message<TimeoutMsgWrap>(make_timeout(round, high_qc_)));
-}
-
-void JolteonNode::on_view_timer_expired() {
-  if (timeout_round_ < view_) {
-    note_timeout();
-    note_timeout_fired(view_);
-    send_timeout(view_);
-  } else {
-    // Retransmit a possibly-lost timeout and stay armed (see pipelined).
-    note_timeout_retransmitted(view_);
-    multicast(make_message<TimeoutMsgWrap>(make_timeout(view_, high_qc_)));
-  }
-  retransmit_proposal(view_);  // our own proposal may be the lost message
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-}
-
 void JolteonNode::on_block_stored(const BlockPtr& block) {
   // Leader retry first: after a TC-driven entry the high-QC block can be
   // many views old, so it must not be filtered by the staleness guard below.
   if (i_am_leader(view_) && !proposed_in_round_ && high_qc_->block == block->id()) propose();
   if (block->view() + 1 < view_) return;
   try_vote();
-}
-
-bool JolteonNode::link_valid(const BlockPtr& block) const {
-  const BlockPtr parent = store_.get(block->parent());
-  return parent && block->height() == parent->height() + 1 && block->view() > parent->view();
 }
 
 }  // namespace moonshot

@@ -15,6 +15,9 @@
 //
 // Implemented in the LSO (leader-speaks-once) setting used in the paper's
 // evaluation, with the standard Bracha-style timeout amplification.
+//
+// The class is also the base for chained HotStuff, which overrides the lock
+// step and the vote rule and sets a three-chain commit rule.
 #pragma once
 
 #include <map>
@@ -23,36 +26,38 @@
 
 namespace moonshot {
 
-class JolteonNode final : public BaseNode {
+class JolteonNode : public BaseNode {
  public:
   explicit JolteonNode(NodeContext ctx);
 
-  void start() override;
   void handle(NodeId from, const MessagePtr& m) override;
   std::string protocol_name() const override { return "jolteon"; }
 
   const QcPtr& high_qc() const { return high_qc_; }
 
  protected:
-  void on_view_timer_expired() override;
+  QcPtr timeout_qc() const override { return high_qc_; }
+  void propose_first() override { propose(); }
+  void try_vote() override;
   void on_block_stored(const BlockPtr& block) override;
   void on_wal_restored(const wal::RecoveredState& state) override;
+
+  /// Lock step for each accepted certificate: Jolteon raises its high-QC.
+  virtual void update_lock(const QcPtr& qc);
+  /// Vote-rule hook on a proposal's justification; Jolteon adds nothing to
+  /// the direct-or-TC rule.
+  virtual bool respects_lock(const QcPtr& /*justify*/) const { return true; }
+
+  QcPtr high_qc_ = QuorumCert::genesis_qc();
 
  private:
   void handle_qc(const QcPtr& qc, bool already_validated);
   void handle_tc(const TcPtr& tc, bool already_validated);
   void advance_to(View new_round, const TcPtr& via_tc);
   void propose();
-  void try_vote();
-  void send_timeout(View round);
 
-  bool link_valid(const BlockPtr& block) const;
-
-  QcPtr high_qc_ = QuorumCert::genesis_qc();
   View last_voted_round_ = 0;
-  View timeout_round_ = 0;
   bool proposed_in_round_ = false;
-  TcPtr entry_tc_;  // TC that brought us into the current round (leaders attach it)
 
   std::map<View, ProposalMsg> pending_prop_;
 };

@@ -7,11 +7,9 @@
 
 namespace moonshot {
 
-namespace {
-constexpr int kTimerDeltas = 3;  // view timer = 3Δ (Figure 3)
-}  // namespace
-
-PipelinedMoonshotNode::PipelinedMoonshotNode(NodeContext ctx) : BaseNode(std::move(ctx)) {}
+PipelinedMoonshotNode::PipelinedMoonshotNode(NodeContext ctx) : BaseNode(std::move(ctx)) {
+  timer_deltas_ = 3;  // view timer = 3Δ (Figure 3)
+}
 
 void PipelinedMoonshotNode::on_wal_restored(const wal::RecoveredState& rs) {
   const auto& opt = rs.voting.last[static_cast<std::size_t>(VoteKind::kOptimistic)];
@@ -20,20 +18,7 @@ void PipelinedMoonshotNode::on_wal_restored(const wal::RecoveredState& rs) {
   main_voted_view_ =
       std::max(rs.voting.last[static_cast<std::size_t>(VoteKind::kNormal)].view,
                rs.voting.last[static_cast<std::size_t>(VoteKind::kFallback)].view);
-  timeout_view_ = rs.voting.timeout_view;
   if (rs.high_qc && rs.high_qc->rank() > lock_->rank()) lock_ = rs.high_qc;
-}
-
-void PipelinedMoonshotNode::start() {
-  // Cold start enters view 1; a crash-recovered node (restore_from_wal() set
-  // view_) resumes in its restored view and catches up via incoming
-  // certificates.
-  const bool cold_start = view_ == 0;
-  if (cold_start) view_ = 1;
-  note_view_entered(view_, /*reason=*/0, 0);
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-  if (cold_start && i_am_leader(1)) propose_normal(QuorumCert::genesis_qc());
-  try_vote();
 }
 
 void PipelinedMoonshotNode::handle(NodeId from, const MessagePtr& m) {
@@ -104,14 +89,7 @@ void PipelinedMoonshotNode::handle(NodeId from, const MessagePtr& m) {
           if (msg.timeout.view < 1) return;
           // Timeouts carry the sender's lock — a certificate in its own right.
           if (msg.timeout.high_qc) handle_qc(msg.timeout.high_qc, /*already_validated=*/false);
-          if (msg.timeout.view < view_) {
-            // Stale timeout: help the stuck sender catch up (see simple).
-            if (lock_->view >= msg.timeout.view) {
-              unicast(from, make_message<CertMsg>(lock_, ctx_.id));
-            } else if (entry_tc_ && entry_tc_->view >= msg.timeout.view) {
-              unicast(from, make_message<TcMsg>(entry_tc_, ctx_.id));
-            }
-          }
+          answer_stale_timeout(from, msg.timeout.view, lock_);
           const auto result = timeout_acc_.add(msg.timeout);
           // Bracha amplification: f+1 timeouts for any view ≥ ours → join.
           if (result.reached_f_plus_1 && msg.timeout.view >= view_)
@@ -172,28 +150,17 @@ void PipelinedMoonshotNode::advance_to(View new_view, const QcPtr& via_qc, const
 
   if (via_qc) {
     multicast(make_message<CertMsg>(via_qc, ctx_.id));
-    note_progress();  // certificate-driven entry resets any pacemaker backoff
   } else if (via_tc) {
     // TCs are unicast to the incoming leader only (communication economy;
     // amplification keeps everyone else live).
     unicast(leader_of(new_view), make_message<TcMsg>(via_tc, ctx_.id));
   }
 
-  trace(obs::EventKind::kViewExit, view_, /*views_spent=*/1, new_view);
-  const View prev = view_;
-  view_ = new_view;
-  note_view_entered(view_, via_qc ? 1 : 2, prev);
-  entry_tc_ = via_tc;
+  begin_view(new_view, via_tc);
   proposed_in_view_ = false;
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-
-  if (view_ > 2) {
-    vote_acc_.prune_below(view_ - 2);
-    timeout_acc_.prune_below(view_ - 2);
-    pending_opt_.erase(pending_opt_.begin(), pending_opt_.lower_bound(view_));
-    pending_prop_.erase(pending_prop_.begin(), pending_prop_.lower_bound(view_));
-    pending_fb_.erase(pending_fb_.begin(), pending_fb_.lower_bound(view_));
-  }
+  pending_opt_.erase(pending_opt_.begin(), pending_opt_.lower_bound(view_));
+  pending_prop_.erase(pending_prop_.begin(), pending_prop_.lower_bound(view_));
+  pending_fb_.erase(pending_fb_.begin(), pending_fb_.lower_bound(view_));
 
   // Figure 3 rule 1: propose at view entry, after Advance View and Lock.
   if (i_am_leader(view_)) {
@@ -323,53 +290,16 @@ void PipelinedMoonshotNode::after_vote(const BlockPtr& block) {
   }
 }
 
-void PipelinedMoonshotNode::send_timeout(View view) {
-  if (timeout_view_ >= view) return;
-  timeout_view_ = view;
-  // Pipelined Moonshot timeouts carry the sender's lock.
-  multicast(make_message<TimeoutMsgWrap>(make_timeout(view, lock_)));
-}
-
-void PipelinedMoonshotNode::on_view_timer_expired() {
-  if (timeout_view_ < view_) {
-    note_timeout_fired(view_);
-    note_timeout();
-    send_timeout(view_);
-  } else {
-    note_timeout_retransmitted(view_);
-    // The first ⟨timeout⟩ for this view may have been lost (lossy links; a
-    // real transport retransmits). Re-multicast with the current — possibly
-    // fresher — lock; a single lost timeout must not stall the view forever.
-    multicast(make_message<TimeoutMsgWrap>(make_timeout(view_, lock_)));
-  }
-  // If we led this view, our proposal may be the lost message: leaders speak
-  // once per view, so without a re-send one lost proposal costs the whole
-  // system two timeout rounds instead of one.
-  retransmit_proposal(view_);
-  // Keep the timer armed until the view advances, so retransmission repeats.
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-}
-
 void PipelinedMoonshotNode::on_block_stored(const BlockPtr& block) {
   if (block->view() + 1 < view_) return;
   try_vote();
-  // A leader whose proposal was blocked on a missing parent body retries.
-  if (i_am_leader(view_) && !proposed_in_view_) {
-    if (lock_->block == block->id() && timeout_view_ + 1 == view_) {
-      // We entered via TC and the lock's body just arrived. The TC is still
-      // buffered in the accumulator path; re-propose via fallback with the
-      // freshest TC we processed. (Rare: bodies usually precede locks.)
-      // The TC for view_-1 is retrievable only if we stored it; keep simple
-      // and skip — the 3Δ timer recovers liveness.
-    } else if (lock_->view + 1 == view_ && lock_->block == block->id()) {
-      propose_normal(lock_);
-    }
+  // A leader whose normal proposal was blocked on the missing body of its
+  // lock retries. A blocked fallback proposal (we timed out of the previous
+  // view) is not retried: the 3Δ timer recovers liveness.
+  if (i_am_leader(view_) && !proposed_in_view_ && lock_->block == block->id() &&
+      lock_->view + 1 == view_ && timeout_view_ + 1 != view_) {
+    propose_normal(lock_);
   }
-}
-
-bool PipelinedMoonshotNode::link_valid(const BlockPtr& block) const {
-  const BlockPtr parent = store_.get(block->parent());
-  return parent && block->height() == parent->height() + 1 && block->view() > parent->view();
 }
 
 }  // namespace moonshot

@@ -29,15 +29,16 @@ class PipelinedMoonshotNode : public BaseNode {
  public:
   explicit PipelinedMoonshotNode(NodeContext ctx);
 
-  void start() override;
   void handle(NodeId from, const MessagePtr& m) override;
   std::string protocol_name() const override { return "pipelined-moonshot"; }
 
   const QcPtr& lock() const { return lock_; }
-  View timeout_view() const { return timeout_view_; }
 
  protected:
-  void on_view_timer_expired() override;
+  QcPtr timeout_qc() const override { return lock_; }
+  void propose_first() override { propose_normal(QuorumCert::genesis_qc()); }
+  /// Evaluates the three vote rules against buffered proposals.
+  void try_vote() override;
   void on_block_stored(const BlockPtr& block) override;
   void on_wal_restored(const wal::RecoveredState& state) override;
 
@@ -52,24 +53,15 @@ class PipelinedMoonshotNode : public BaseNode {
   void handle_qc(const QcPtr& qc, bool already_validated);
   void handle_tc(const TcPtr& tc, bool already_validated);
 
-  View timeout_view_ = 0;  // highest view this node sent ⟨timeout⟩ for
-
  private:
   void advance_to(View new_view, const QcPtr& via_qc, const TcPtr& via_tc);
   void propose_normal(const QcPtr& justify);
   void propose_fallback(const TcPtr& tc);
 
-  /// Evaluates the three vote rules against buffered proposals.
-  void try_vote();
   void send_vote(const Vote& vote);        // multicast, or unicast (ablation)
   void after_vote(const BlockPtr& block);  // optimistic-propose rule
 
-  void send_timeout(View view);
-
-  bool link_valid(const BlockPtr& block) const;
-
   QcPtr lock_ = QuorumCert::genesis_qc();
-  TcPtr entry_tc_;  // TC that drove the latest view entry (null if QC-driven)
   View opt_voted_view_ = 0;    // highest view with an optimistic vote sent
   BlockId opt_voted_block_{};  // block of that optimistic vote
   View main_voted_view_ = 0;   // highest view with a normal/fallback vote

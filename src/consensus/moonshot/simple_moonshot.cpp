@@ -5,31 +5,17 @@
 namespace moonshot {
 
 namespace {
-constexpr int kTimerDeltas = 5;    // view timer = 5Δ (Figure 1)
 constexpr int kProposeDeltas = 2;  // leader's fallback proposal wait = 2Δ
 }  // namespace
 
-SimpleMoonshotNode::SimpleMoonshotNode(NodeContext ctx) : BaseNode(std::move(ctx)) {}
+SimpleMoonshotNode::SimpleMoonshotNode(NodeContext ctx) : BaseNode(std::move(ctx)) {
+  timer_deltas_ = 5;  // view timer = 5Δ (Figure 1)
+}
 
 void SimpleMoonshotNode::on_wal_restored(const wal::RecoveredState& rs) {
   voted_view_ = rs.voting.last[static_cast<std::size_t>(VoteKind::kNormal)].view;
-  timeout_sent_view_ = rs.voting.timeout_view;
   if (rs.high_qc && rs.high_qc->rank() > lock_->rank()) lock_ = rs.high_qc;
   if (rs.high_qc && rs.high_qc->view > highest_qc_->view) highest_qc_ = rs.high_qc;
-}
-
-void SimpleMoonshotNode::start() {
-  // All nodes know the genesis certificate C_0, so everyone enters view 1
-  // immediately. The certificate multicast is skipped (everyone has C_0).
-  // A crash-recovered node (restore_from_wal() set view_ > 0) resumes in its
-  // restored view instead: it arms the timer and catches up via incoming
-  // certificates rather than replaying view-1 actions.
-  const bool cold_start = view_ == 0;
-  if (cold_start) view_ = 1;
-  note_view_entered(view_, /*reason=*/0, 0);
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-  if (cold_start && i_am_leader(1)) propose_normal(QuorumCert::genesis_qc());
-  try_vote();
 }
 
 void SimpleMoonshotNode::halt() {
@@ -78,17 +64,9 @@ void SimpleMoonshotNode::handle(NodeId from, const MessagePtr& m) {
         } else if constexpr (std::is_same_v<T, TimeoutMsgWrap>) {
           if (msg.timeout.sender != from) return;
           if (msg.timeout.view < 1) return;
-          if (msg.timeout.view < view_) {
-            // Stale timeout: the sender is stuck in an older view (e.g. the
-            // certificate that advanced us was lost on its link). Re-send the
-            // evidence justifying our view so the pacemakers re-converge on
-            // one view — otherwise timeouts can split below quorum forever.
-            if (highest_qc_->view >= msg.timeout.view) {
-              unicast(from, make_message<CertMsg>(highest_qc_, ctx_.id));
-            } else if (entry_tc_ && entry_tc_->view >= msg.timeout.view) {
-              unicast(from, make_message<TcMsg>(entry_tc_, ctx_.id));
-            }
-          }
+          // The lock rises only at view entry, so the freshest catch-up
+          // evidence is the highest certificate received.
+          answer_stale_timeout(from, msg.timeout.view, highest_qc_);
           const auto result = timeout_acc_.add(msg.timeout);
           // Figure 1 rule 4: f+1 timeouts for the *current* view make us
           // stop voting and join the timeout.
@@ -148,7 +126,6 @@ void SimpleMoonshotNode::advance_to(View new_view, const QcPtr& via_qc, const Tc
   // honest node follows within Δ (liveness + reorg resilience).
   if (via_qc) {
     multicast(make_message<CertMsg>(via_qc, ctx_.id));
-    note_progress();  // certificate-driven entry resets any pacemaker backoff
   } else if (via_tc) {
     multicast(make_message<TcMsg>(via_tc, ctx_.id));
   }
@@ -166,22 +143,11 @@ void SimpleMoonshotNode::advance_to(View new_view, const QcPtr& via_qc, const Tc
   }
 
   // (iv) Enter the view; (v) reset the 5Δ timer.
-  trace(obs::EventKind::kViewExit, view_, /*views_spent=*/1, new_view);
-  const View prev = view_;
-  view_ = new_view;
-  note_view_entered(view_, via_qc ? 1 : 2, prev);
-  entry_tc_ = via_tc;
+  begin_view(new_view, via_tc);
   proposed_in_view_ = false;
   ++propose_generation_;  // invalidates any scheduled 2Δ proposal
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-
-  // Prune accumulator state that can no longer matter.
-  if (view_ > 2) {
-    vote_acc_.prune_below(view_ - 2);
-    timeout_acc_.prune_below(view_ - 2);
-    pending_opt_.erase(pending_opt_.begin(), pending_opt_.lower_bound(view_));
-    pending_prop_.erase(pending_prop_.begin(), pending_prop_.lower_bound(view_));
-  }
+  pending_opt_.erase(pending_opt_.begin(), pending_opt_.lower_bound(view_));
+  pending_prop_.erase(pending_prop_.begin(), pending_prop_.lower_bound(view_));
 
   if (i_am_leader(view_)) {
     if (via_qc) {
@@ -222,7 +188,7 @@ void SimpleMoonshotNode::propose_normal(const QcPtr& justify) {
 void SimpleMoonshotNode::try_vote() {
   if (view_ < 1) return;
   if (voted_view_ >= view_) return;          // at most one vote per view
-  if (timeout_sent_view_ >= view_) return;   // stopped voting in this view
+  if (timeout_view_ >= view_) return;        // stopped voting in this view
 
   // Rule 2a: optimistic proposal, parent certificate equals our lock.
   if (auto it = pending_opt_.find(view_); it != pending_opt_.end()) {
@@ -262,27 +228,6 @@ void SimpleMoonshotNode::do_vote(const BlockPtr& block) {
   }
 }
 
-void SimpleMoonshotNode::send_timeout(View view) {
-  if (timeout_sent_view_ >= view) return;
-  timeout_sent_view_ = view;
-  // Simple Moonshot timeouts carry no lock.
-  multicast(make_message<TimeoutMsgWrap>(make_timeout(view, nullptr)));
-}
-
-void SimpleMoonshotNode::on_view_timer_expired() {
-  if (timeout_sent_view_ < view_) {
-    note_timeout_fired(view_);
-    note_timeout();
-    send_timeout(view_);
-  } else {
-    note_timeout_retransmitted(view_);
-    // Retransmit a possibly-lost timeout and stay armed (see pipelined).
-    multicast(make_message<TimeoutMsgWrap>(make_timeout(view_, nullptr)));
-  }
-  retransmit_proposal(view_);  // our own proposal may be the lost message
-  arm_view_timer(backed_off(ctx_.delta * kTimerDeltas));
-}
-
 void SimpleMoonshotNode::on_block_stored(const BlockPtr& block) {
   // A parent body arriving can unblock voting or a pending leader proposal.
   if (block->view() + 1 < view_) return;
@@ -291,11 +236,6 @@ void SimpleMoonshotNode::on_block_stored(const BlockPtr& block) {
       highest_qc_->block == block->id()) {
     propose_normal(highest_qc_);
   }
-}
-
-bool SimpleMoonshotNode::link_valid(const BlockPtr& block) const {
-  const BlockPtr parent = store_.get(block->parent());
-  return parent && block->height() == parent->height() + 1 && block->view() > parent->view();
 }
 
 }  // namespace moonshot

@@ -31,7 +31,6 @@ class SimpleMoonshotNode : public BaseNode {
  public:
   explicit SimpleMoonshotNode(NodeContext ctx);
 
-  void start() override;
   void handle(NodeId from, const MessagePtr& m) override;
   void halt() override;
   std::string protocol_name() const override { return "simple-moonshot"; }
@@ -40,7 +39,12 @@ class SimpleMoonshotNode : public BaseNode {
   const QcPtr& lock() const { return lock_; }
 
  protected:
-  void on_view_timer_expired() override;
+  /// Every node knows the genesis certificate C_0, so all enter view 1 at
+  /// start without multicasting it, and its leader proposes over C_0.
+  void propose_first() override { propose_normal(QuorumCert::genesis_qc()); }
+  /// Evaluates both vote rules against buffered proposals for the current
+  /// view; votes at most once per view.
+  void try_vote() override;
   void on_block_stored(const BlockPtr& block) override;
   void on_wal_restored(const wal::RecoveredState& state) override;
 
@@ -57,21 +61,11 @@ class SimpleMoonshotNode : public BaseNode {
   /// Leader: multicast ⟨propose, B, justify, view⟩ extending justify's block.
   void propose_normal(const QcPtr& justify);
 
-  /// Evaluates both vote rules against buffered proposals for the current
-  /// view; votes at most once per view.
-  void try_vote();
   void do_vote(const BlockPtr& block);
-
-  void send_timeout(View view);
-
-  /// True iff the block's parent is stored and heights/views are consistent.
-  bool link_valid(const BlockPtr& block) const;
 
   QcPtr lock_ = QuorumCert::genesis_qc();
   QcPtr highest_qc_ = QuorumCert::genesis_qc();
-  TcPtr entry_tc_;  // TC that drove the latest view entry (null if QC-driven)
   View voted_view_ = 0;         // highest view this node voted in
-  View timeout_sent_view_ = 0;  // highest view this node sent ⟨timeout⟩ for
   View opt_proposed_view_ = 0;  // highest view this node opt-proposed for
   bool proposed_in_view_ = false;
   sim::TaskId propose_deadline_task_ = 0;

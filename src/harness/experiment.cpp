@@ -46,6 +46,31 @@ const char* protocol_cli_tag(ProtocolKind p) {
   return "?";
 }
 
+std::optional<ProtocolKind> parse_protocol_tag(std::string_view tag) {
+  if (tag == "sm" || tag == "simple") return ProtocolKind::kSimpleMoonshot;
+  if (tag == "pm" || tag == "pipelined") return ProtocolKind::kPipelinedMoonshot;
+  if (tag == "cm" || tag == "commit") return ProtocolKind::kCommitMoonshot;
+  if (tag == "j" || tag == "jolteon") return ProtocolKind::kJolteon;
+  if (tag == "hs" || tag == "hotstuff") return ProtocolKind::kHotStuff;
+  return std::nullopt;
+}
+
+std::unique_ptr<IConsensusNode> make_protocol_node(ProtocolKind p, NodeContext ctx) {
+  switch (p) {
+    case ProtocolKind::kSimpleMoonshot:
+      return std::make_unique<SimpleMoonshotNode>(std::move(ctx));
+    case ProtocolKind::kPipelinedMoonshot:
+      return std::make_unique<PipelinedMoonshotNode>(std::move(ctx));
+    case ProtocolKind::kCommitMoonshot:
+      return std::make_unique<CommitMoonshotNode>(std::move(ctx));
+    case ProtocolKind::kJolteon:
+      return std::make_unique<JolteonNode>(std::move(ctx));
+    case ProtocolKind::kHotStuff:
+      return std::make_unique<HotStuffNode>(std::move(ctx));
+  }
+  return nullptr;
+}
+
 const char* schedule_name(ScheduleKind s) {
   switch (s) {
     case ScheduleKind::kRoundRobin: return "round-robin";
@@ -225,19 +250,7 @@ std::unique_ptr<IConsensusNode> Experiment::make_node(NodeId id) {
                                                       coalition_);
   }
   ctx.wal = id < wals_.size() ? wals_[id].get() : nullptr;
-  switch (cfg_.protocol) {
-    case ProtocolKind::kSimpleMoonshot:
-      return std::make_unique<SimpleMoonshotNode>(std::move(ctx));
-    case ProtocolKind::kPipelinedMoonshot:
-      return std::make_unique<PipelinedMoonshotNode>(std::move(ctx));
-    case ProtocolKind::kCommitMoonshot:
-      return std::make_unique<CommitMoonshotNode>(std::move(ctx));
-    case ProtocolKind::kJolteon:
-      return std::make_unique<JolteonNode>(std::move(ctx));
-    case ProtocolKind::kHotStuff:
-      return std::make_unique<HotStuffNode>(std::move(ctx));
-  }
-  return nullptr;
+  return make_protocol_node(cfg_.protocol, std::move(ctx));
 }
 
 void Experiment::attach_commit_hook(IConsensusNode& node, NodeId id) {

@@ -34,6 +34,11 @@ const char* protocol_name(ProtocolKind p);
 const char* protocol_tag(ProtocolKind p);
 /// Lower-case tags as the CLI tools spell --protocol: sm, pm, cm, j, hs.
 const char* protocol_cli_tag(ProtocolKind p);
+/// Inverse of protocol_cli_tag(), also accepting the long spellings simple,
+/// pipelined, commit, jolteon and hotstuff; nullopt for anything else.
+std::optional<ProtocolKind> parse_protocol_tag(std::string_view tag);
+/// Builds an honest node of protocol `p`.
+std::unique_ptr<IConsensusNode> make_protocol_node(ProtocolKind p, NodeContext ctx);
 
 enum class ScheduleKind {
   kRoundRobin,  // plain fair rotation (happy-path runs)

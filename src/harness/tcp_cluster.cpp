@@ -2,12 +2,6 @@
 
 #include <thread>
 
-#include "consensus/hotstuff/hotstuff.hpp"
-#include "consensus/jolteon/jolteon.hpp"
-#include "consensus/moonshot/commit_moonshot.hpp"
-#include "consensus/moonshot/pipelined_moonshot.hpp"
-#include "consensus/moonshot/simple_moonshot.hpp"
-
 namespace moonshot {
 
 TcpCluster::TcpCluster(Config cfg) : cfg_(std::move(cfg)) {
@@ -42,23 +36,7 @@ TcpCluster::TcpCluster(Config cfg) : cfg_(std::move(cfg)) {
     ctx.payload_for_view = payloads;
     ctx.verify_signatures = true;
 
-    switch (cfg_.protocol) {
-      case ProtocolKind::kSimpleMoonshot:
-        nodes_.push_back(std::make_unique<SimpleMoonshotNode>(std::move(ctx)));
-        break;
-      case ProtocolKind::kPipelinedMoonshot:
-        nodes_.push_back(std::make_unique<PipelinedMoonshotNode>(std::move(ctx)));
-        break;
-      case ProtocolKind::kCommitMoonshot:
-        nodes_.push_back(std::make_unique<CommitMoonshotNode>(std::move(ctx)));
-        break;
-      case ProtocolKind::kJolteon:
-        nodes_.push_back(std::make_unique<JolteonNode>(std::move(ctx)));
-        break;
-      case ProtocolKind::kHotStuff:
-        nodes_.push_back(std::make_unique<HotStuffNode>(std::move(ctx)));
-        break;
-    }
+    nodes_.push_back(make_protocol_node(cfg_.protocol, std::move(ctx)));
   }
 
   // All listeners are up (constructors returned): now dial the full mesh.

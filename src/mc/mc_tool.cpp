@@ -23,15 +23,6 @@ namespace {
 
 using namespace moonshot;
 
-std::optional<ProtocolKind> parse_protocol(const std::string& s) {
-  if (s == "sm" || s == "simple") return ProtocolKind::kSimpleMoonshot;
-  if (s == "pm" || s == "pipelined") return ProtocolKind::kPipelinedMoonshot;
-  if (s == "cm" || s == "commit") return ProtocolKind::kCommitMoonshot;
-  if (s == "jolteon" || s == "j") return ProtocolKind::kJolteon;
-  if (s == "hotstuff" || s == "hs") return ProtocolKind::kHotStuff;
-  return std::nullopt;
-}
-
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
@@ -96,7 +87,7 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (a == "--protocol") {
       const char* v = next();
-      const auto p = v ? parse_protocol(v) : std::nullopt;
+      const auto p = v ? parse_protocol_tag(v) : std::nullopt;
       if (!p) return usage(argv[0]);
       cfg.protocol = *p;
     } else if (a == "--strategy") {

@@ -89,16 +89,6 @@ struct Options {
   std::exit(2);
 }
 
-bool parse_protocol(const std::string& tag, ProtocolKind& out) {
-  if (tag == "sm") out = ProtocolKind::kSimpleMoonshot;
-  else if (tag == "pm") out = ProtocolKind::kPipelinedMoonshot;
-  else if (tag == "cm") out = ProtocolKind::kCommitMoonshot;
-  else if (tag == "j") out = ProtocolKind::kJolteon;
-  else if (tag == "hs") out = ProtocolKind::kHotStuff;
-  else return false;
-  return true;
-}
-
 Options parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -108,7 +98,9 @@ Options parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--protocol") {
-      if (!parse_protocol(value(), opt.protocol)) usage_error("unknown protocol tag");
+      const auto p = parse_protocol_tag(value());
+      if (!p) usage_error("unknown protocol tag");
+      opt.protocol = *p;
     } else if (arg == "--seed") {
       opt.seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--n") {

@@ -22,12 +22,12 @@
 namespace moonshot {
 
 /// ⟨propose, B_k, C_v'(B_h), v⟩ — a normal proposal justifying its parent
-/// with a block certificate. Jolteon attaches a TC when proposing after a
-/// view change; Moonshot normal proposals leave `tc` null.
+/// with a block certificate. Jolteon and HotStuff attach a TC when proposing
+/// after a view change; Moonshot normal proposals leave `tc` null.
 struct ProposalMsg {
   BlockPtr block;
   QcPtr justify;
-  TcPtr tc;  // Jolteon only
+  TcPtr tc;  // Jolteon and HotStuff, when justify is not from the previous view
   NodeId sender = kNoNode;
 };
 

@@ -3,6 +3,7 @@
 // each Figure 1 / Figure 3 / Figure 4 rule emits.
 #include <gtest/gtest.h>
 
+#include "consensus/hotstuff/hotstuff.hpp"
 #include "consensus/jolteon/jolteon.hpp"
 #include "consensus/moonshot/commit_moonshot.hpp"
 #include "consensus/moonshot/pipelined_moonshot.hpp"
@@ -491,6 +492,28 @@ TEST_F(NodeRulesTest, JolteonTwoChainCommit) {
   // QC_1 + QC_2 over parent/child in consecutive rounds commit b1.
   ASSERT_GE(node.commit_log().size(), 1u);
   EXPECT_EQ(node.commit_log().blocks()[0]->id(), b1->id());
+}
+
+TEST_F(NodeRulesTest, JolteonFamilyIgnoresTcOnDirectProposal) {
+  // A proposal justified from the directly preceding round needs no TC, so
+  // a TC attached to it is never checked and must not move the pacemaker.
+  auto bogus = std::make_shared<TimeoutCert>();
+  bogus->view = 1000;  // no entries: proves nothing
+  const auto b1 = child_of(Block::genesis(), 1);
+  const auto check = [&](IConsensusNode& node) {
+    SCOPED_TRACE(node.protocol_name());
+    node.start();
+    net_.clear();
+    node.handle(0, make_message<ProposalMsg>(b1, QuorumCert::genesis_qc(), bogus, NodeId{0}));
+    EXPECT_EQ(node.current_view(), 1u);
+    EXPECT_TRUE(net_.of_type<TimeoutMsgWrap>().empty());
+    ASSERT_EQ(net_.votes().size(), 1u);  // the proposal itself is fine
+    EXPECT_EQ(net_.votes()[0].block, b1->id());
+  };
+  JolteonNode j(make_ctx(1));
+  check(j);
+  HotStuffNode hs(make_ctx(1));
+  check(hs);
 }
 
 // --- Cross-protocol: malformed input never crashes, never emits ---------------------
