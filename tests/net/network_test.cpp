@@ -185,5 +185,75 @@ TEST(SimNetwork, StatsCountMessages) {
   EXPECT_GT(net.stats().bytes_sent, 0u);
 }
 
+TEST(SimNetwork, DeliveryOrderIsPinned) {
+  // One fixed world through every path that decides when a copy arrives:
+  // jitter across five regions, reorder stress, the pre-GST adversary, a
+  // duplicated link, a cut link, the egress and ingress FIFOs, and sends made
+  // from inside deliveries. The constants are what this script has always
+  // produced; a change means delivery times or their order moved.
+  constexpr std::size_t kN = 7;
+  sim::Scheduler sched;
+  NetworkConfig cfg;  // aws5 latencies and the default receive costs
+  cfg.bandwidth_bps = 1e9;
+  cfg.reorder_extra = milliseconds(3);
+  cfg.gst = TimePoint{milliseconds(400).count()};
+  cfg.delta = milliseconds(200);
+  cfg.seed = 11;
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  auto fold = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  std::uint64_t deliveries = 0;
+  SimNetwork* net_ptr = nullptr;
+  SimNetwork net(sched, kN, cfg, [&](NodeId to, NodeId from, const MessagePtr& m) {
+    ++deliveries;
+    fold(static_cast<std::uint64_t>(sched.now().ns));
+    fold(to);
+    fold(from);
+    fold(m->index());
+    // Replies sent from inside a delivery: every proposal is answered with a
+    // unicast back, and every third certificate is relayed to everyone.
+    if (to == from) return;
+    if (std::holds_alternative<ProposalMsg>(*m)) {
+      net_ptr->unicast(to, from, tiny_message(to));
+    } else if (deliveries % 3 == 0 && sched.now() < TimePoint{seconds(1).count()}) {
+      net_ptr->multicast(to, tiny_message(to));
+    }
+  });
+  net_ptr = &net;
+  // Link 0>1 delivers three copies of everything; link 2>3 is cut.
+  net.faults().add(std::make_shared<LinkChaosFault>(LinkChaosFault::Kind::kDuplicate, 1.0,
+                                                    Duration(0), std::vector<Link>{{0, 1}}, 5));
+  net.faults().add(std::make_shared<LinkChaosFault>(LinkChaosFault::Kind::kDuplicate, 1.0,
+                                                    Duration(0), std::vector<Link>{{0, 1}}, 6));
+  net.faults().add(std::make_shared<LinkCutFault>(std::vector<Link>{{2, 3}}));
+  for (int round = 0; round < 4; ++round) {
+    const TimePoint at{milliseconds(150 * round).count()};
+    sched.schedule_at(at, [&, round] {
+      for (NodeId from = 0; from < kN; from += 2) net.multicast(from, tiny_message(from));
+      net.multicast(static_cast<NodeId>(round), big_message(static_cast<NodeId>(round), 20000));
+      net.unicast(2, 3, tiny_message(2));
+      net.unicast(0, 1, tiny_message(0));
+      net.unicast(5, 5, tiny_message(5));
+      net.unicast(6, static_cast<NodeId>(round), big_message(6, 5000));
+    });
+  }
+  sched.run_all();
+
+  const NetworkStats& st = net.stats();
+  EXPECT_EQ(deliveries, 195u);
+  EXPECT_EQ(digest, 0xa08c1ff9d856685cull);
+  EXPECT_EQ(sched.fingerprint(), 0x88936345d1cd4056ull);
+  EXPECT_EQ(sched.events_executed(), 199u);
+  EXPECT_EQ(st.messages_sent, 185u);
+  EXPECT_EQ(st.bytes_sent, 511459u);
+  EXPECT_EQ(st.messages_delivered, 171u);
+  EXPECT_EQ(st.messages_dropped, 10u);
+  EXPECT_EQ(st.messages_duplicated, 20u);
+}
+
 }  // namespace
 }  // namespace moonshot::net
