@@ -89,6 +89,7 @@ void Sha256::compress(const std::uint8_t* block) {
 }
 
 void Sha256::update(BytesView data) {
+  if (data.empty()) return;  // an empty view may carry a null data()
   total_len_ += data.size();
   std::size_t offset = 0;
 

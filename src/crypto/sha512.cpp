@@ -113,6 +113,7 @@ void Sha512::compress(const std::uint8_t* block) {
 }
 
 void Sha512::update(BytesView data) {
+  if (data.empty()) return;  // an empty view may carry a null data()
   total_len_ += data.size();
   std::size_t offset = 0;
 

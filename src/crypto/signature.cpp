@@ -58,8 +58,8 @@ class Ed25519Scheme final : public SignatureScheme {
 constexpr const char kSimSecret[] = "moonshot-simulation-global-secret";
 
 PrivateKey fast_priv_from_pub(const PublicKey& pub) {
-  const auto d = hmac_sha256(to_bytes(kSimSecret), pub.view());
-  return PrivateKey{d.data};
+  static const HmacSha256 kSimMac(to_bytes(kSimSecret));
+  return PrivateKey{kSimMac.mac(pub.view()).data};
 }
 
 class FastScheme final : public SignatureScheme {
@@ -73,12 +73,12 @@ class FastScheme final : public SignatureScheme {
   }
 
   Signature sign(const PrivateKey& priv, BytesView message) const override {
-    const auto m1 = hmac_sha256(priv.view(), message);
-    // Second half binds a domain-separated copy so the signature is 64 bytes,
-    // matching Ed25519 on the wire.
-    Bytes salted(message.begin(), message.end());
-    salted.push_back(0x01);
-    const auto m2 = hmac_sha256(priv.view(), salted);
+    const HmacSha256 mac(priv.view());
+    const auto m1 = mac.mac(message);
+    // Second half binds a domain-separated copy (message || 0x01) so the
+    // signature is 64 bytes, matching Ed25519 on the wire.
+    static constexpr std::uint8_t kSalt[1] = {0x01};
+    const auto m2 = mac.mac(message, kSalt);
     Signature sig;
     std::memcpy(sig.data.data(), m1.data.data(), 32);
     std::memcpy(sig.data.data() + 32, m2.data.data(), 32);

@@ -21,7 +21,17 @@ SimNetwork::SimNetwork(sim::Scheduler& sched, std::size_t n, NetworkConfig cfg,
       prng_(cfg_.seed ^ 0x6e657477u),
       egress_free_(n, TimePoint::zero()),
       ingress_free_(n, TimePoint::zero()),
-      silenced_(n, false) {}
+      silenced_(n, false) {
+  sched_.set_run_sink(
+      [this](const sim::EventTag& tag, std::uint32_t ref) { deliver_copy(tag, ref); });
+}
+
+SimNetwork::~SimNetwork() { sched_.set_run_sink(nullptr); }
+
+Duration SimNetwork::serialization(std::uint64_t wire_size) const {
+  return Duration(
+      static_cast<std::int64_t>(static_cast<double>(wire_size) * 8.0 / cfg_.bandwidth_bps * 1e9));
+}
 
 Duration SimNetwork::proc_cost(const Message& m, std::uint64_t wire_size) const {
   Duration c = cfg_.proc_base;
@@ -46,6 +56,11 @@ Duration SimNetwork::proc_cost(const Message& m, std::uint64_t wire_size) const 
   return c;
 }
 
+void SimNetwork::schedule_self(NodeId node, const MessagePtr& m) {
+  stats_.messages_sent++;
+  sched_.schedule_at(sched_.now(), [this, node, m] { deliver_(node, node, m); });
+}
+
 void SimNetwork::multicast(NodeId from, MessagePtr m) {
   if (silenced_.at(from)) return;
   if (tap_) tap_(from, *m);
@@ -56,19 +71,19 @@ void SimNetwork::multicast(NodeId from, MessagePtr m) {
   const std::size_t n = egress_free_.size();
 
   // Self-delivery first: immediate and free (local shortcut).
-  stats_.messages_sent++;
-  sched_.schedule_at(sched_.now(), [this, from, m] { deliver_(from, from, m); });
+  schedule_self(from, m);
 
   // The NIC serializes the n-1 copies back-to-back.
   TimePoint egress = std::max(sched_.now(), egress_free_[from]);
-  const Duration ser =
-      Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9));
+  const Duration ser = serialization(wire);
+  const Duration rx = ser + proc_cost(*m, wire);
   for (NodeId to = 0; to < n; ++to) {
     if (to == from) continue;
     egress = egress + ser;
-    send_one(from, to, m, wire, egress);
+    send_one(from, to, *m, wire, egress, rx);
   }
   egress_free_[from] = egress;
+  schedule_run(std::move(m), wire);
 }
 
 void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
@@ -79,46 +94,44 @@ void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
     tracer_->record(from, obs::EventKind::kMsgSent, 0, m->index(), wire, to);
   }
   if (to == from) {
-    stats_.messages_sent++;
-    sched_.schedule_at(sched_.now(), [this, from, m] { deliver_(from, from, m); });
+    schedule_self(from, m);
     return;
   }
-  const Duration ser =
-      Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9));
+  const Duration ser = serialization(wire);
   const TimePoint egress = std::max(sched_.now(), egress_free_[from]) + ser;
   egress_free_[from] = egress;
-  send_one(from, to, m, wire, egress);
+  send_one(from, to, *m, wire, egress, ser + proc_cost(*m, wire));
+  schedule_run(std::move(m), wire);
 }
 
-void SimNetwork::send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire,
-                          TimePoint egress_done) {
+void SimNetwork::send_one(NodeId from, NodeId to, const Message& m, std::uint64_t wire,
+                          TimePoint egress_done, Duration rx) {
   stats_.messages_sent++;
   stats_.bytes_sent += wire;
 
   if (silenced_.at(to)) {
     stats_.messages_dropped++;
-    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, m->index(), wire, from);
+    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, m.index(), wire, from);
     return;
   }
 
   FaultVerdict verdict;
-  if (!faults_.empty()) verdict = faults_.apply(from, to, *m, sched_.now());
+  if (!faults_.empty()) verdict = faults_.apply(from, to, m, sched_.now());
   if (verdict.drop) {
     stats_.messages_dropped++;
-    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, m->index(), wire, from);
+    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, m.index(), wire, from);
     return;
   }
 
-  deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay);
+  add_copy(from, to, m, wire, egress_done, verdict.extra_delay, rx);
   for (int dup = 0; dup < verdict.duplicates; ++dup) {
     stats_.messages_duplicated++;
-    deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay);
+    add_copy(from, to, m, wire, egress_done, verdict.extra_delay, rx);
   }
 }
 
-void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
-                              std::uint64_t wire, TimePoint egress_done,
-                              Duration extra_delay) {
+void SimNetwork::add_copy(NodeId from, NodeId to, const Message& m, std::uint64_t wire,
+                          TimePoint egress_done, Duration extra_delay, Duration rx) {
   // Propagation with jitter.
   const Duration base =
       cfg_.matrix.one_way(regions_.region_of(from), regions_.region_of(to));
@@ -158,25 +171,48 @@ void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
     }
   }
 
-  // Receive pipeline: FIFO through the destination NIC + processing.
-  const Duration rx =
-      Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9)) +
-      proc_cost(*m, wire);
-  // We don't know the future ingress state at `arrival`, so we approximate
-  // the FIFO by tracking the pipeline's busy-until watermark.
+  // Receive pipeline: FIFO through the destination NIC + processing (`rx`,
+  // the same for every copy of a send). We don't know the future ingress
+  // state at `arrival`, so we approximate the FIFO by tracking the
+  // pipeline's busy-until watermark.
   const TimePoint start = std::max(arrival, ingress_free_[to]);
   const TimePoint done = start + rx;
   ingress_free_[to] = done;
 
   // Tagged as a delivery choice point: the model checker (src/mc/) reorders
-  // these events freely; normal runs execute them in (time, seq) order.
-  sched_.schedule_at(
-      done, sim::EventTag::delivery(to, from, static_cast<std::uint32_t>(m->index())),
-      [this, from, to, m, wire] {
-        stats_.messages_delivered++;
-        if (tracer_) tracer_->record(to, obs::EventKind::kMsgDelivered, 0, m->index(), wire, from);
-        deliver_(to, from, m);
-      });
+  // copies freely; normal runs execute them in (time, seq) order.
+  run_.push_back(sim::RunCopy{
+      done, sim::EventTag::delivery(to, from, static_cast<std::uint32_t>(m.index()))});
+}
+
+void SimNetwork::schedule_run(MessagePtr m, std::uint64_t wire) {
+  if (run_.empty()) return;
+  if (free_in_flight_.empty()) {
+    free_in_flight_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
+  }
+  const std::uint32_t ref = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[ref] = InFlight{std::move(m), wire, static_cast<std::uint32_t>(run_.size())};
+  sched_.schedule_run(run_, ref);
+  run_.clear();
+}
+
+void SimNetwork::deliver_copy(const sim::EventTag& tag, std::uint32_t ref) {
+  InFlight& f = in_flight_[ref];
+  stats_.messages_delivered++;
+  if (tracer_) {
+    tracer_->record(tag.node, obs::EventKind::kMsgDelivered, 0, tag.type, f.wire, tag.peer);
+  }
+  // Delivering may send, which can grow in_flight_: hold the message locally.
+  MessagePtr m;
+  if (--f.copies_left == 0) {
+    m = std::move(f.msg);
+    free_in_flight_.push_back(ref);
+  } else {
+    m = f.msg;
+  }
+  deliver_(tag.node, tag.peer, m);
 }
 
 void SimNetwork::export_metrics(obs::Registry& reg,

@@ -15,8 +15,17 @@
 //    chain of composable link faults (net/fault.hpp) injects partitions,
 //    per-link drops, duplication and delay spikes — the substrate the chaos
 //    engine (src/chaos/) drives.
+//
+// Delivery path: a send computes every copy's arrival time up front (fault
+// duplicates included) and hands them to the scheduler as one run
+// (sim::Scheduler::schedule_run). The message itself waits in a free-listed
+// in-flight table, one entry and one shared_ptr per send, not per copy; the
+// run carries the entry's index, and the scheduler calls the network's run
+// sink with it for each copy. The entry is freed with the last copy.
+// Self-delivery stays an ordinary scheduler callback.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -101,7 +110,12 @@ class SimNetwork final : public INetwork {
   /// `deliver` is invoked (via the scheduler) when a message reaches `to`.
   using DeliverFn = std::function<void(NodeId to, NodeId from, const MessagePtr&)>;
 
+  /// Registers this network as `sched`'s run sink; a scheduler serves one
+  /// SimNetwork at a time.
   SimNetwork(sim::Scheduler& sched, std::size_t n, NetworkConfig cfg, DeliverFn deliver);
+  ~SimNetwork() override;
+  SimNetwork(const SimNetwork&) = delete;
+  SimNetwork& operator=(const SimNetwork&) = delete;
 
   void multicast(NodeId from, MessagePtr m) override;
   void unicast(NodeId from, NodeId to, MessagePtr m) override;
@@ -137,10 +151,24 @@ class SimNetwork final : public INetwork {
   const NetworkConfig& config() const { return cfg_; }
 
  private:
-  void send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
-                TimePoint egress_done);
-  void deliver_copy(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
-                    TimePoint egress_done, Duration extra_delay);
+  /// A sent message waiting for its copies to arrive.
+  struct InFlight {
+    MessagePtr msg;
+    std::uint64_t wire = 0;
+    std::uint32_t copies_left = 0;
+  };
+
+  void send_one(NodeId from, NodeId to, const Message& m, std::uint64_t wire_size,
+                TimePoint egress_done, Duration rx);
+  void add_copy(NodeId from, NodeId to, const Message& m, std::uint64_t wire_size,
+                TimePoint egress_done, Duration extra_delay, Duration rx);
+  /// Schedules the copies gathered in run_ as one run holding `m`.
+  void schedule_run(MessagePtr m, std::uint64_t wire_size);
+  /// The run sink: delivers one copy of in-flight entry `ref`.
+  void deliver_copy(const sim::EventTag& tag, std::uint32_t ref);
+  /// Self-delivery: immediate and free, through an ordinary callback.
+  void schedule_self(NodeId node, const MessagePtr& m);
+  Duration serialization(std::uint64_t wire_size) const;
   Duration proc_cost(const Message& m, std::uint64_t wire_size) const;
 
   sim::Scheduler& sched_;
@@ -156,6 +184,9 @@ class SimNetwork final : public INetwork {
   Tap tap_;
   obs::Tracer* tracer_ = nullptr;
   NetworkStats stats_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
+  std::vector<sim::RunCopy> run_;  // the copies of the send being built
 };
 
 }  // namespace moonshot::net

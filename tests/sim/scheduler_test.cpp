@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "support/prng.hpp"
+
 namespace moonshot::sim {
 namespace {
 
@@ -303,6 +309,216 @@ TEST(Scheduler, FingerprintIsPinned) {
   EXPECT_EQ(s.fingerprint(), 0x709ac47f927a1a74ull);
   EXPECT_EQ(s.events_executed(), 8u);
   EXPECT_EQ(s.pending(), 1u);
+}
+
+// --- runs --------------------------------------------------------------------
+
+/// A scheduler whose run sink logs every copy it runs as "t:node<peer/ref".
+struct RunLog {
+  Scheduler s;
+  std::vector<std::string> log;
+  RunLog() {
+    s.set_run_sink([this](const EventTag& tag, std::uint32_t ref) {
+      log.push_back(std::to_string(s.now().ns) + ":" + std::to_string(tag.node) + "<" +
+                    std::to_string(tag.peer) + "/" + std::to_string(ref));
+    });
+  }
+};
+
+std::vector<RunCopy> copies_at(std::initializer_list<std::int64_t> times, std::uint32_t from) {
+  std::vector<RunCopy> out;
+  std::uint32_t to = 0;
+  for (const std::int64_t t : times) {
+    out.push_back(RunCopy{TimePoint{t}, EventTag::delivery(to++, from, 1)});
+  }
+  return out;
+}
+
+TEST(Scheduler, RunCopiesExecuteInTimeThenSendOrder) {
+  RunLog w;
+  w.s.schedule_run(copies_at({30, 10, 30, 20, 10}, 9), 4);
+  w.s.run_all();
+  EXPECT_EQ(w.log, (std::vector<std::string>{"10:1<9/4", "10:4<9/4", "20:3<9/4", "30:0<9/4",
+                                             "30:2<9/4"}));
+  EXPECT_EQ(w.s.events_executed(), 5u);
+  EXPECT_EQ(w.s.pending(), 0u);
+}
+
+TEST(Scheduler, PendingCountsRunCopies) {
+  Scheduler s;
+  std::vector<std::size_t> seen;
+  s.set_run_sink([&](const EventTag&, std::uint32_t) { seen.push_back(s.pending()); });
+  s.schedule_run(copies_at({10, 20, 30}, 0), 0);
+  s.schedule_run(copies_at({15, 25}, 1), 1);
+  const TaskId timer = s.schedule_at(TimePoint{12}, EventTag::timer(0), [] {});
+  EXPECT_EQ(s.pending(), 6u);
+  s.cancel(timer);
+  EXPECT_EQ(s.pending(), 5u);
+  s.schedule_run({}, 2);  // nothing to schedule
+  EXPECT_EQ(s.pending(), 5u);
+  s.run_until(TimePoint{20});
+  // A sink sees the copy it runs as no longer pending.
+  EXPECT_EQ(seen, (std::vector<std::size_t>{4, 3, 2}));
+  EXPECT_EQ(s.pending(), 2u);
+  s.run_all();
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Scheduler, FrontierListsEveryCopyOfInterleavedRuns) {
+  RunLog w;
+  w.s.schedule_run(copies_at({40, 10, 30}, 0), 0);  // seqs 0, 1, 2
+  w.s.schedule_at(TimePoint{20}, [] {});             // seq 3
+  w.s.schedule_run(copies_at({30, 10, 50}, 1), 1);  // seqs 4, 5, 6
+  const auto f = w.s.frontier();
+  std::vector<std::pair<std::int64_t, std::uint64_t>> keys;
+  for (const PendingEvent& pe : f) keys.emplace_back(pe.t.ns, pe.seq);
+  EXPECT_EQ(keys, (std::vector<std::pair<std::int64_t, std::uint64_t>>{
+                      {10, 1}, {10, 5}, {20, 3}, {30, 2}, {30, 4}, {40, 0}, {50, 6}}));
+  for (const PendingEvent& pe : f) {
+    EXPECT_NE(pe.id, 0u);
+    if (pe.seq == 3) {
+      EXPECT_EQ(pe.tag.kind, EventTag::Kind::kInternal);
+    } else {
+      EXPECT_EQ(pe.tag.kind, EventTag::Kind::kDelivery);
+      EXPECT_EQ(pe.tag.peer, pe.seq < 3 ? 0u : 1u);
+    }
+  }
+  std::set<TaskId> ids;
+  for (const PendingEvent& pe : f) ids.insert(pe.id);
+  EXPECT_EQ(ids.size(), f.size());  // unique while pending
+  // Copies cannot be cancelled.
+  w.s.cancel(f[0].id);
+  EXPECT_EQ(w.s.frontier().size(), 7u);
+}
+
+TEST(Scheduler, RunTaskRunsAMiddleCopyThenTheHead) {
+  RunLog w;
+  w.s.schedule_run(copies_at({10, 20, 30, 40}, 0), 7);
+  w.s.schedule_run(copies_at({15}, 1), 8);
+  auto f = w.s.frontier();
+  ASSERT_EQ(f.size(), 5u);
+  ASSERT_EQ(f[3].t.ns, 30);
+  EXPECT_TRUE(w.s.run_task(f[3].id));  // middle copy of the first run
+  EXPECT_EQ(w.s.now().ns, 30);
+  EXPECT_FALSE(w.s.run_task(f[3].id));  // already run
+  EXPECT_EQ(w.s.pending(), 4u);
+  f = w.s.frontier();
+  ASSERT_EQ(f.size(), 4u);
+  EXPECT_EQ(f[0].t.ns, 10);
+  EXPECT_TRUE(w.s.run_task(f[0].id));  // the head: the run is re-keyed to 20
+  EXPECT_EQ(w.s.now().ns, 30);  // the clock never goes back
+  w.s.run_all();
+  EXPECT_EQ(w.log, (std::vector<std::string>{"30:2<0/7", "30:0<0/7", "30:0<1/8", "30:1<0/7",
+                                             "40:3<0/7"}));
+  EXPECT_EQ(w.s.pending(), 0u);
+  EXPECT_TRUE(w.s.frontier().empty());
+}
+
+/// One side of the differential test: the same seeded script drives either
+/// runs or the same copies scheduled one by one with schedule_at.
+struct DiffWorld {
+  explicit DiffWorld(bool runs, std::uint64_t seed) : use_runs(runs), prng(seed) {
+    if (use_runs) {
+      s.set_run_sink([this](const EventTag& tag, std::uint32_t ref) { on_copy(tag, ref); });
+    }
+  }
+
+  void on_copy(const EventTag& tag, std::uint32_t ref) {
+    log.push_back("c" + std::to_string(s.now().ns) + ":" + std::to_string(tag.node) + "<" +
+                  std::to_string(tag.peer) + "/" + std::to_string(tag.type) + "#" +
+                  std::to_string(ref) + " p" + std::to_string(s.pending()));
+    react();
+  }
+  void on_single(int label) {
+    log.push_back("s" + std::to_string(s.now().ns) + ":" + std::to_string(label) + " p" +
+                  std::to_string(s.pending()));
+    react();
+  }
+  /// Events schedule follow-ups, as deliveries send and timers re-arm (with
+  /// fewer than one follow-up event per event, so the world stays finite).
+  void react() {
+    if (prng.next_below(30) == 0) send();
+    if (prng.next_below(10) == 0) single();
+  }
+
+  void send() {
+    // Up to 40 copies over a narrow time window: many equal timestamps, and
+    // runs long enough for std::sort to leave insertion sort.
+    const std::uint32_t from = static_cast<std::uint32_t>(prng.next_below(8));
+    const std::size_t k = 1 + prng.next_below(prng.next_below(2) ? 40 : 4);
+    std::vector<RunCopy> copies;
+    for (std::size_t i = 0; i < k; ++i) {
+      const TimePoint t = s.now() + Duration(static_cast<std::int64_t>(prng.next_below(6)));
+      const auto type = static_cast<std::uint32_t>(prng.next_below(4));
+      copies.push_back(
+          RunCopy{t, EventTag::delivery(static_cast<std::uint32_t>(i % 8), from, type)});
+    }
+    const std::uint32_t ref = next_ref++;
+    if (use_runs) {
+      s.schedule_run(copies, ref);
+    } else {
+      for (const RunCopy& c : copies) {
+        s.schedule_at(c.t, c.tag, [this, c, ref] { on_copy(c.tag, ref); });
+      }
+    }
+  }
+  void single() {
+    const int label = next_label++;
+    const EventTag tag = prng.next_below(2) ? EventTag::timer(label % 8) : EventTag{};
+    const TimePoint t = s.now() + Duration(static_cast<std::int64_t>(prng.next_below(10)));
+    singles.push_back(s.schedule_at(t, tag, [this, label] { on_single(label); }));
+  }
+
+  /// One scripted step; every observation goes to the log.
+  void op() {
+    switch (prng.next_below(7)) {
+      case 0:
+      case 1: send(); break;
+      case 2: single(); break;
+      case 3:
+        if (!singles.empty()) s.cancel(singles[prng.next_below(singles.size())]);
+        break;
+      case 4: s.run_until(s.now() + Duration(static_cast<std::int64_t>(prng.next_below(8)))); break;
+      case 5: s.run_next(); break;
+      case 6: {
+        const auto f = s.frontier();
+        std::string line = "f";
+        for (const PendingEvent& pe : f) {
+          line += " " + std::to_string(pe.t.ns) + "." + std::to_string(pe.seq) + "." +
+                  std::to_string(static_cast<int>(pe.tag.kind)) + "." + std::to_string(pe.tag.node);
+        }
+        log.push_back(line);
+        if (!f.empty()) s.run_task(f[prng.next_below(f.size())].id);
+        break;
+      }
+    }
+    log.push_back("now" + std::to_string(s.now().ns) + " p" + std::to_string(s.pending()));
+  }
+
+  bool use_runs;
+  Prng prng;
+  Scheduler s;
+  std::vector<std::string> log;
+  std::vector<TaskId> singles;
+  std::uint32_t next_ref = 0;
+  int next_label = 0;
+};
+
+TEST(Scheduler, RunsMatchCopiesScheduledOneByOne) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    DiffWorld runs(true, seed);
+    DiffWorld singles(false, seed);
+    for (int i = 0; i < 300; ++i) {
+      runs.op();
+      singles.op();
+    }
+    runs.s.run_all(100000);
+    singles.s.run_all(100000);
+    ASSERT_EQ(runs.log, singles.log) << "seed " << seed;
+    ASSERT_EQ(runs.s.fingerprint(), singles.s.fingerprint()) << "seed " << seed;
+    ASSERT_EQ(runs.s.events_executed(), singles.s.events_executed()) << "seed " << seed;
+    EXPECT_GT(runs.s.events_executed(), 1000u) << "seed " << seed;
+  }
 }
 
 }  // namespace
