@@ -213,23 +213,6 @@ void BM_QcValidateCached(benchmark::State& state) {
 }
 BENCHMARK(BM_QcValidateCached);
 
-void BM_WireSizeMemo(benchmark::State& state) {
-  // Steady-state size_of() on a proposal already in the memo, vs the full
-  // re-serialization BM_MessageSerialize measures.
-  const auto gen = ValidatorSet::generate(100, crypto::fast_scheme(), 1);
-  const auto block = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(1800, 1));
-  std::vector<Vote> votes;
-  for (NodeId i = 0; i < gen.set->quorum_size(); ++i)
-    votes.push_back(Vote::make(VoteKind::kNormal, 1, block->id(), i, gen.private_keys[i],
-                               gen.set->scheme()));
-  const auto qc = QuorumCert::assemble(votes, 1, *gen.set);
-  const auto m = make_message<ProposalMsg>(block, qc, nullptr, NodeId{0});
-  WireSizeMemo memo;
-  benchmark::DoNotOptimize(memo.size_of(m));
-  for (auto _ : state) benchmark::DoNotOptimize(memo.size_of(m));
-}
-BENCHMARK(BM_WireSizeMemo);
-
 void BM_MessageSerialize(benchmark::State& state) {
   const auto gen = ValidatorSet::generate(100, crypto::fast_scheme(), 1);
   const auto block = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(1800, 1));

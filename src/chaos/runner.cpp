@@ -9,37 +9,31 @@
 #include "harness/conformance.hpp"
 #include "obs/flight.hpp"
 #include "obs/registry.hpp"
+#include "support/fnv.hpp"
 
 namespace moonshot::chaos {
 
 namespace {
 
-void fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
-
 /// Folds the full honest commit state + metrics + execution order into one
 /// value. Any divergence between two runs of the same scenario shows up here.
 std::uint64_t run_digest(Experiment& e, const ExperimentResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnv1aOffsetBasis;
   for (NodeId id = 0; id < e.node_count(); ++id) {
     if (e.is_faulty(id)) continue;
     const auto& blocks = e.node(id).commit_log().blocks();
-    fold(h, id);
-    fold(h, blocks.size());
+    fnv1a_fold(h, id);
+    fnv1a_fold(h, blocks.size());
     for (const BlockPtr& b : blocks) {
-      for (const std::uint8_t byte : b->id()) fold(h, byte);
+      for (const std::uint8_t byte : b->id()) fnv1a_fold(h, byte);
     }
-    fold(h, e.node(id).current_view());
+    fnv1a_fold(h, e.node(id).current_view());
   }
-  fold(h, r.summary.committed_blocks);
-  fold(h, r.net_stats.messages_delivered);
-  fold(h, r.net_stats.messages_dropped);
-  fold(h, r.net_stats.messages_duplicated);
-  fold(h, e.scheduler().fingerprint());
+  fnv1a_fold(h, r.summary.committed_blocks);
+  fnv1a_fold(h, r.net_stats.messages_delivered);
+  fnv1a_fold(h, r.net_stats.messages_dropped);
+  fnv1a_fold(h, r.net_stats.messages_duplicated);
+  fnv1a_fold(h, e.scheduler().fingerprint());
   return h;
 }
 
@@ -153,8 +147,8 @@ ChaosReport run_chaos(const ChaosRunConfig& cfg) {
     // Extend determinism coverage over the trace stream: any event recorded
     // in a different order or with different contents diverges the digest.
     std::uint64_t h = report.digest;
-    fold(h, cfg.tracer->digest());
-    fold(h, cfg.tracer->total_recorded());
+    fnv1a_fold(h, cfg.tracer->digest());
+    fnv1a_fold(h, cfg.tracer->total_recorded());
     report.digest = h;
   }
 

@@ -1,10 +1,13 @@
 #include "exec/world_runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <thread>
-
-#include "exec/thread_pool.hpp"
+#include <vector>
 
 namespace moonshot::exec {
 
@@ -30,12 +33,42 @@ void run_worlds(unsigned jobs, std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  // jobs lanes = (jobs - 1) workers + the calling thread inside
-  // parallel_for. No point spinning up more lanes than tasks.
-  const unsigned lanes = static_cast<unsigned>(
-      count < jobs ? count : static_cast<std::size_t>(jobs));
-  ThreadPool pool(lanes - 1);
-  pool.parallel_for(count, fn);
+  // Every lane claims the next unclaimed index until none is left. A
+  // throwing task never abandons its siblings: its exception is parked and
+  // the lowest-index one is rethrown once every lane has joined.
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  std::size_t error_index = count;
+  const auto lane = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+      }
+    }
+  };
+
+  // jobs lanes = the caller plus jobs-1 threads, never more lanes than tasks.
+  const std::size_t lanes = std::min<std::size_t>(jobs, count);
+  std::vector<std::thread> threads;
+  threads.reserve(lanes - 1);
+  try {
+    while (threads.size() + 1 < lanes) threads.emplace_back(lane);
+  } catch (...) {
+    // A thread failed to start. The lanes already running (and the caller)
+    // still drain every index, and each is joined below before returning.
+  }
+  lane();
+  for (std::thread& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 unsigned test_jobs() {

@@ -25,10 +25,12 @@ unsigned parse_jobs(const char* value);
 
 /// Runs fn(0) … fn(count-1). jobs <= 1 runs inline on the caller, in order,
 /// with no threads created — the sequential semantics parallel runs must
-/// reproduce. jobs > 1 uses a work-stealing pool of jobs lanes (jobs-1
-/// workers plus the caller). fn must confine its side effects to per-index
-/// state (or internally synchronized sinks); the first exception is
-/// rethrown after all tasks finish.
+/// reproduce. jobs > 1 runs min(jobs, count) lanes (the caller plus plain
+/// threads), each claiming the next index in ascending order from one shared
+/// counter. fn must confine its side effects to per-index state (or
+/// internally synchronized sinks). Every task runs even if some throw; after
+/// all lanes have joined, the exception of the lowest throwing index is
+/// rethrown.
 void run_worlds(unsigned jobs, std::size_t count,
                 const std::function<void(std::size_t)>& fn);
 

@@ -14,6 +14,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
+#include "support/fnv.hpp"
 #include "support/prng.hpp"
 
 namespace moonshot::mc {
@@ -38,20 +39,13 @@ const char* violation_kind_name(ViolationKind v) {
 
 namespace {
 
-void fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
-
 /// Digest over (kind, detail). Both safety violation kinds latch at their
 /// first occurrence and liveness details are deterministic functions of the
 /// replayed prefix, so explore-time and replay-time digests match.
 std::uint64_t violation_digest(ViolationKind kind, const std::string& detail) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  fold(h, static_cast<std::uint64_t>(kind));
-  for (const char c : detail) fold(h, static_cast<std::uint8_t>(c));
+  std::uint64_t h = kFnv1aOffsetBasis;
+  fnv1a_fold(h, static_cast<std::uint64_t>(kind));
+  for (const char c : detail) fnv1a_fold(h, static_cast<std::uint8_t>(c));
   return h;
 }
 
@@ -386,11 +380,11 @@ struct Frame {
   std::vector<Choice> explored;  // fully explored at this frame
 };
 
-/// One DFS over the ordering tree. `forced_root` restricts the root frame to
-/// a single first choice (the sharded driver runs one such DFS per root
-/// option); nullptr explores the full frontier — the legacy algorithm.
-/// `trace_budget` bounds the leaves this DFS may visit.
-McResult explore_exhaustive_impl(const McConfig& cfg, const Choice* forced_root,
+/// One DFS over the ordering tree whose root frame offers `root_choices`
+/// (explore_exhaustive passes one first choice per shard; an empty list
+/// makes the root itself the only leaf). `trace_budget` bounds the leaves
+/// this DFS may visit.
+McResult explore_exhaustive_impl(const McConfig& cfg, std::vector<Choice> root_choices,
                                  std::size_t trace_budget) {
   McResult res;
   std::unordered_map<std::uint64_t, std::size_t> visited;  // state digest → min depth
@@ -401,7 +395,7 @@ McResult explore_exhaustive_impl(const McConfig& cfg, const Choice* forced_root,
   visited[run->state_digest()] = 0;
   {
     Frame root;
-    root.choices = forced_root ? std::vector<Choice>{*forced_root} : run->enabled();
+    root.choices = std::move(root_choices);
     stack.push_back(std::move(root));
   }
   // `run` mirrors the state at stack.back() with `path` applied; false after
@@ -500,33 +494,30 @@ McResult explore_exhaustive_impl(const McConfig& cfg, const Choice* forced_root,
   return res;
 }
 
-/// cfg.jobs == 0: the legacy single-threaded DFS. cfg.jobs >= 1: the root
-/// frontier is sharded — one independent DFS per first choice, each with a
-/// private visited map and sleep sets and an even split of the trace budget.
-/// The shards are pure functions of the config (the thread count only decides
+/// The root frontier is sharded: one independent DFS per first choice, each
+/// with a private visited map and sleep sets and an even split of the trace
+/// budget. The shards are pure functions of the config (cfg.jobs only decides
 /// how many run at once), so output is byte-identical across jobs values.
 /// The lowest-index violating shard wins — deterministic even though a later
 /// shard may finish its violation first — and stats sum over shards
 /// [0, winner], mirroring the prefix a sequential left-to-right scan of the
 /// shards would have accumulated.
 McResult explore_exhaustive(const McConfig& cfg) {
-  if (cfg.jobs == 0) return explore_exhaustive_impl(cfg, nullptr, cfg.max_traces);
-
   std::vector<Choice> roots;
   {
     Run probe(cfg);
     roots = probe.enabled();
   }
-  // Match the sequential root gate: with no timer budget, a timer fire is
-  // only explorable when nothing else is (inside a shard the forced-root
-  // frame is trivially quiescent, so the gate must be applied here).
+  // With no timer budget, a timer fire is only explorable when nothing else
+  // is (inside a shard the single-choice root frame is trivially quiescent,
+  // so the gate must be applied here).
   std::vector<Choice> shard_roots;
   const bool quiet = quiescent(roots);
   for (const Choice& c : roots) {
     if (c.kind == 't' && !quiet && cfg.max_timer_injections == 0) continue;
     shard_roots.push_back(c);
   }
-  if (shard_roots.empty()) return explore_exhaustive_impl(cfg, nullptr, cfg.max_traces);
+  if (shard_roots.empty()) return explore_exhaustive_impl(cfg, {}, cfg.max_traces);
 
   const std::size_t n = shard_roots.size();
   std::vector<std::size_t> budget(n, cfg.max_traces / n);
@@ -534,7 +525,7 @@ McResult explore_exhaustive(const McConfig& cfg) {
 
   std::vector<McResult> shard(n);
   exec::run_worlds(static_cast<unsigned>(cfg.jobs), n, [&](std::size_t i) {
-    shard[i] = explore_exhaustive_impl(cfg, &shard_roots[i], budget[i]);
+    shard[i] = explore_exhaustive_impl(cfg, {shard_roots[i]}, budget[i]);
   });
 
   McResult res;
@@ -675,7 +666,7 @@ TraceOut run_random_trace(const McConfig& cfg, std::size_t trace) {
   return out;
 }
 
-/// cfg.jobs <= 1 samples traces one at a time — the legacy scan. cfg.jobs
+/// cfg.jobs <= 1 samples traces one at a time — the sequential scan. cfg.jobs
 /// > 1 samples blocks of jobs*4 traces concurrently, then merges in trace
 /// order: the lowest-index violating trace wins and the stats stop at it,
 /// so the result is byte-identical to the sequential scan (which would have

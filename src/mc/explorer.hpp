@@ -86,13 +86,11 @@ struct McConfig {
   /// here if the replayed schedule produces a violation. Shrinking clears it
   /// for its oracle calls so only the final replay emits a recording.
   std::string flight_path;
-  /// Worker lanes for exploration (exec/world_runner.hpp). 0 = the legacy
-  /// single-threaded algorithms, exactly as before this knob existed.
-  ///
-  /// jobs >= 1 selects the parallel drivers, whose result is a pure function
-  /// of the config — byte-identical between jobs=1 and jobs=N. (Diagnostic
-  /// stderr log lines are outside that contract: concurrent blocks run
-  /// speculative traces past an adopted violation, and those may log.)
+  /// Worker lanes for exploration (exec/world_runner.hpp); 0 behaves like 1.
+  /// The result is a pure function of the rest of the config — byte-identical
+  /// between jobs=1 and jobs=N. (Diagnostic stderr log lines are outside that
+  /// contract: concurrent lanes run speculative traces past an adopted
+  /// violation, and those may log.)
   ///  * random — traces are sampled in blocks (each trace's PRNG stream is
   ///    already a pure function of its index); the lowest-index violating
   ///    trace wins and stats are truncated to traces [0, violator], exactly
@@ -100,10 +98,9 @@ struct McConfig {
   ///  * exhaustive — the root frontier is sharded, one independent DFS per
   ///    first choice (private visited/sleep state, the trace budget split
   ///    evenly); the lowest-index violating shard wins and stats sum over
-  ///    shards [0, winner]. Sharding forgoes cross-shard dedup, so the
-  ///    explored set differs from (is a superset of) jobs=0 — coverage is
-  ///    preserved, counters are not comparable between jobs=0 and jobs>=1.
-  std::size_t jobs = 0;
+  ///    shards [0, winner]. Shards share no dedup state, so two shards may
+  ///    both explore a state reachable from either first choice.
+  std::size_t jobs = 1;
 };
 
 enum class ViolationKind {

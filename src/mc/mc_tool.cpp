@@ -43,10 +43,9 @@ int usage(const char* argv0) {
       << "                    (mutation-validation builds only)\n"
       << "  --expect-violation  exit 0 iff a violation IS found\n"
       << "  --shrink          ddmin the counterexample before printing\n"
-      << "  --jobs N          worker lanes (\"auto\" = all cores); stdout is\n"
-      << "                    byte-identical for every N >= 1 (stderr log lines\n"
-      << "                    from speculative traces may differ). Omitted =\n"
-      << "                    the legacy single-threaded algorithms\n"
+      << "  --jobs N          worker lanes (\"auto\" = all cores, default 1);\n"
+      << "                    stdout is byte-identical for every N (stderr log\n"
+      << "                    lines from speculative traces may differ)\n"
       << "  --replay FILE     replay a counterexample schedule instead of exploring\n"
       << "  --cex FILE        write the (shrunk) counterexample schedule to FILE\n"
       << "  --flight FILE     write a flight recording (postmortem) on violation\n"
@@ -79,8 +78,7 @@ int main(int argc, char** argv) {
   std::string replay_path, cex_path, flight_path;
   Mutation mutation = Mutation::kNone;
   bool have_mutation = false;
-  unsigned jobs_flag = 0;
-  bool have_jobs = false;
+  unsigned jobs = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -168,9 +166,8 @@ int main(int argc, char** argv) {
     } else if (a == "--jobs") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      jobs_flag = exec::parse_jobs(v);
-      if (jobs_flag == 0) return usage(argv[0]);
-      have_jobs = true;
+      jobs = exec::parse_jobs(v);
+      if (jobs == 0) return usage(argv[0]);
     } else if (a == "--no-liveness") {
       no_liveness = true;
     } else if (a == "--mutation") {
@@ -240,7 +237,7 @@ int main(int argc, char** argv) {
   if (no_liveness) cfg.check_liveness = false;
   cfg.flight_path = flight_path;
   // Applied after the smoke/probe merge overwrote cfg wholesale.
-  if (have_jobs) cfg.jobs = jobs_flag;
+  cfg.jobs = jobs;
 
   if (!replay_path.empty()) {
     std::ifstream in(replay_path);

@@ -64,7 +64,7 @@ void SimNetwork::schedule_self(NodeId node, const MessagePtr& m) {
 void SimNetwork::multicast(NodeId from, MessagePtr m) {
   if (silenced_.at(from)) return;
   if (tap_) tap_(from, *m);
-  const std::uint64_t wire = wire_memo_.size_of(m);
+  const std::uint64_t wire = message_wire_size(*m);
   if (tracer_) {
     tracer_->record(from, obs::EventKind::kMsgSent, 0, m->index(), wire, kNoNode);
   }
@@ -89,7 +89,7 @@ void SimNetwork::multicast(NodeId from, MessagePtr m) {
 void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
   if (silenced_.at(from)) return;
   if (tap_) tap_(from, *m);
-  const std::uint64_t wire = wire_memo_.size_of(m);
+  const std::uint64_t wire = message_wire_size(*m);
   if (tracer_) {
     tracer_->record(from, obs::EventKind::kMsgSent, 0, m->index(), wire, to);
   }

@@ -173,7 +173,6 @@ class SimNetwork final : public INetwork {
 
   sim::Scheduler& sched_;
   NetworkConfig cfg_;
-  WireSizeMemo wire_memo_;  // one serialization per message object, not per send
   RegionAssignment regions_;
   DeliverFn deliver_;
   Prng prng_;

@@ -13,9 +13,10 @@
 // — plus happens-before edges that cross the tree: every vote that arrived
 // in time feeds each node's aggregate span, and the 2-chain commit trigger
 // links the aggregate of the certifying view to the commit span of its
-// parent. The graph is the shared substrate for the critical-path analyzer
-// (critpath.hpp), the timeline's span lanes, DOT export, and the flight
-// recorder's last-N span dump.
+// parent. The graph backs the timeline's span lanes, the DOT export
+// (trace_tool critpath --dot), and the flight recorder's last-N span dump.
+// The critical-path analyzer (critpath.hpp) does not use it: it builds its
+// own per-view index from the merged trace.
 #pragma once
 
 #include <cstdint>

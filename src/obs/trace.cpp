@@ -69,7 +69,7 @@ Tracer::Tracer(std::size_t nodes, TracerConfig cfg)
     : enabled_(cfg.enabled) {
   rings_.reserve(nodes + 1);
   for (std::size_t i = 0; i < nodes + 1; ++i) rings_.emplace_back(cfg.ring_capacity);
-  node_digests_.assign(nodes, 0xcbf29ce484222325ull);
+  node_digests_.assign(nodes, kFnv1aOffsetBasis);
 }
 
 std::vector<Event> Tracer::merged() const {

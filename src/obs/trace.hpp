@@ -13,6 +13,7 @@
 
 #include "obs/event.hpp"
 #include "sim/scheduler.hpp"
+#include "support/fnv.hpp"
 
 namespace moonshot::obs {
 
@@ -122,7 +123,7 @@ class Tracer {
   /// identifies an execution state up to per-node observation order. The
   /// environment ring is excluded (it records scheduler noise).
   std::uint64_t state_digest() const {
-    std::uint64_t acc = 0xcbf29ce484222325ull;
+    std::uint64_t acc = kFnv1aOffsetBasis;
     for (std::size_t i = 0; i < node_digests_.size(); ++i) {
       acc ^= node_digests_[i] * (2 * i + 0x9e3779b97f4a7c15ull);
     }
@@ -141,33 +142,22 @@ class Tracer {
     const std::size_t i = node == kNoNode ? rings_.size() - 1 : node;
     return i < rings_.size() ? rings_[i] : rings_.back();
   }
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      digest_ ^= (v >> (i * 8)) & 0xff;
-      digest_ *= 0x100000001b3ull;
-    }
-  }
-  static void fold_into(std::uint64_t& acc, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      acc ^= (v >> (i * 8)) & 0xff;
-      acc *= 0x100000001b3ull;
-    }
-  }
   void fold_event(const Event& e) {
-    fold(static_cast<std::uint64_t>(e.t.ns));
-    fold((static_cast<std::uint64_t>(e.node) << 8) | static_cast<std::uint64_t>(e.kind));
-    fold(e.view);
-    fold(e.a);
-    fold(e.b);
-    fold(e.c);
+    fnv1a_fold(digest_, static_cast<std::uint64_t>(e.t.ns));
+    fnv1a_fold(digest_,
+               (static_cast<std::uint64_t>(e.node) << 8) | static_cast<std::uint64_t>(e.kind));
+    fnv1a_fold(digest_, e.view);
+    fnv1a_fold(digest_, e.a);
+    fnv1a_fold(digest_, e.b);
+    fnv1a_fold(digest_, e.c);
     ++total_recorded_;
     if (e.node < node_digests_.size()) {
       std::uint64_t& nd = node_digests_[e.node];
-      fold_into(nd, static_cast<std::uint64_t>(e.kind));
-      fold_into(nd, e.view);
-      fold_into(nd, e.a);
-      fold_into(nd, e.b);
-      fold_into(nd, e.c);
+      fnv1a_fold(nd, static_cast<std::uint64_t>(e.kind));
+      fnv1a_fold(nd, e.view);
+      fnv1a_fold(nd, e.a);
+      fnv1a_fold(nd, e.b);
+      fnv1a_fold(nd, e.c);
     }
   }
 
@@ -176,7 +166,7 @@ class Tracer {
   std::vector<MessageCounter> counters_ = std::vector<MessageCounter>(kMessageTypeCount);
   const sim::Scheduler* clock_ = nullptr;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t digest_ = 0xcbf29ce484222325ull;
+  std::uint64_t digest_ = kFnv1aOffsetBasis;
   std::uint64_t total_recorded_ = 0;
   bool enabled_ = true;
 };

@@ -6,15 +6,6 @@
 
 namespace moonshot::sim {
 
-namespace {
-inline void fnv1a_fold(std::uint64_t& acc, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    acc ^= (v >> (8 * i)) & 0xff;
-    acc *= 0x100000001b3ull;
-  }
-}
-}  // namespace
-
 // --- heap --------------------------------------------------------------------
 
 void Scheduler::push(Entry e) {

@@ -29,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "support/fnv.hpp"
 #include "support/time.hpp"
 
 namespace moonshot::sim {
@@ -229,7 +230,7 @@ class Scheduler {
   TimePoint now_ = TimePoint::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t fingerprint_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  std::uint64_t fingerprint_ = kFnv1aOffsetBasis;
 };
 
 }  // namespace moonshot::sim

@@ -225,24 +225,6 @@ std::uint64_t message_wire_size(const Message& m) {
   return size;
 }
 
-std::uint64_t WireSizeMemo::size_of(const MessagePtr& m) {
-  if (capacity_ == 0) return message_wire_size(*m);
-  auto it = sizes_.find(m.get());
-  if (it != sizes_.end()) {
-    ++stats_.hits;
-    return it->second;
-  }
-  ++stats_.misses;
-  const std::uint64_t size = message_wire_size(*m);
-  sizes_.emplace(m.get(), size);
-  pinned_.push_back(m);
-  if (pinned_.size() > capacity_) {
-    sizes_.erase(pinned_.front().get());
-    pinned_.pop_front();
-  }
-  return size;
-}
-
 const char* message_type_name(const Message& m) {
   return std::visit(
       [](const auto& msg) -> const char* {

@@ -9,9 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <variant>
 
 #include "types/block.hpp"
@@ -111,35 +109,6 @@ std::uint64_t message_wire_size(const Message& m);
 
 /// Human-readable tag for logging.
 const char* message_type_name(const Message& m);
-
-/// Memoizes message_wire_size() per message object. Messages are immutable
-/// once wrapped in a MessagePtr, and the same pointer is sized repeatedly —
-/// once per multicast or unicast, and proposals are also retransmitted on
-/// view re-entry — so a full re-serialization each time is wasted work
-/// (proposals serialize their whole block). Keyed by pointer identity; each
-/// cached entry pins its MessagePtr in the eviction FIFO so the address can
-/// neither dangle nor be recycled for a different message while the entry
-/// lives.
-class WireSizeMemo {
- public:
-  explicit WireSizeMemo(std::size_t capacity = 256) : capacity_(capacity) {}
-
-  /// message_wire_size(*m), computed at most once per message object.
-  std::uint64_t size_of(const MessagePtr& m);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  const Stats& stats() const { return stats_; }
-  std::size_t size() const { return pinned_.size(); }
-
- private:
-  std::size_t capacity_;
-  std::unordered_map<const Message*, std::uint64_t> sizes_;
-  std::deque<MessagePtr> pinned_;  // insertion order, for eviction
-  Stats stats_;
-};
 
 template <typename T, typename... Args>
 MessagePtr make_message(Args&&... args) {

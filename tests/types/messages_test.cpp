@@ -148,51 +148,6 @@ TEST_F(MessagesTest, MalformedInputReturnsNull) {
   EXPECT_EQ(deserialize_message(r2), nullptr);
 }
 
-TEST_F(MessagesTest, WireSizeMemoMatchesAndCaches) {
-  const auto m1 = make_message<CertMsg>(qc_, NodeId{0});
-  const auto m2 = make_message<VoteMsg>(Vote::make(VoteKind::kNormal, 1, block_->id(), 0,
-                                                   gen_.private_keys[0],
-                                                   gen_.set->scheme()));
-  WireSizeMemo memo;
-  EXPECT_EQ(memo.size_of(m1), message_wire_size(*m1));
-  EXPECT_EQ(memo.size_of(m2), message_wire_size(*m2));
-  EXPECT_EQ(memo.stats().misses, 2u);
-  EXPECT_EQ(memo.size_of(m1), message_wire_size(*m1));
-  EXPECT_EQ(memo.size_of(m1), memo.size_of(m1));
-  EXPECT_EQ(memo.stats().hits, 3u);
-  EXPECT_EQ(memo.stats().misses, 2u);
-}
-
-TEST_F(MessagesTest, WireSizeMemoIncludesSyntheticPayload) {
-  // Proposals charge synthetic payload bytes on top of serialized size; the
-  // memo must cache the full wire size, not just the buffer length.
-  const auto big =
-      Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(100000, 3));
-  const auto m = make_message<OptProposalMsg>(big, NodeId{0});
-  WireSizeMemo memo;
-  const auto sz = memo.size_of(m);
-  EXPECT_EQ(sz, message_wire_size(*m));
-  EXPECT_GE(sz, 100000u);
-  EXPECT_EQ(memo.size_of(m), sz);
-}
-
-TEST_F(MessagesTest, WireSizeMemoEvictsFifoAndPins) {
-  WireSizeMemo memo(/*capacity=*/2);
-  std::vector<MessagePtr> kept;
-  for (int i = 0; i < 4; ++i) {
-    auto m = make_message<BlockRequestMsg>(block_->id(), NodeId{0});
-    kept.push_back(m);
-    memo.size_of(m);
-  }
-  EXPECT_EQ(memo.size(), 2u);  // two oldest evicted
-  // Evicted entries recompute (miss), retained ones hit.
-  memo.size_of(kept[0]);
-  memo.size_of(kept[3]);
-  EXPECT_EQ(memo.stats().hits, 1u);
-  // 4 initial misses + kept[0] re-miss.
-  EXPECT_EQ(memo.stats().misses, 5u);
-}
-
 TEST_F(MessagesTest, TypeNames) {
   EXPECT_STREQ(message_type_name(*make_message<OptProposalMsg>(block_, NodeId{0})),
                "opt-propose");
