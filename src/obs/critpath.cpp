@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <set>
 #include <tuple>
 
@@ -11,126 +10,6 @@
 namespace moonshot::obs {
 
 namespace {
-
-bool is_proposal_sent(EventKind k) {
-  return k == EventKind::kOptProposalSent || k == EventKind::kProposalSent ||
-         k == EventKind::kFbProposalSent;
-}
-
-bool is_proposal_recv(EventKind k) {
-  return k == EventKind::kOptProposalRecv || k == EventKind::kProposalRecv ||
-         k == EventKind::kFbProposalRecv;
-}
-
-constexpr std::size_t kVoteKinds = 4;
-
-struct VoteRecvStamp {
-  TimePoint t{};
-  std::uint64_t kind = 0;
-  NodeId voter = kNoNode;
-};
-
-struct QcStamp {
-  TimePoint t{};
-  std::uint64_t kind = 0;
-};
-
-// Stamps for one (node, view) pair.
-struct NV {
-  TimePoint prop_recv{};
-  bool has_recv = false;
-  TimePoint vote_cast[kVoteKinds]{};
-  bool has_cast[kVoteKinds]{};
-  std::vector<VoteRecvStamp> vote_recvs;
-  std::vector<QcStamp> qcs;
-  TimePoint commit{};
-  bool has_commit = false;
-  bool timeout = false;
-  std::vector<TimePoint> retransmits;
-};
-
-struct ViewGlobal {
-  TimePoint proposed{};
-  bool has_proposed = false;
-  NodeId leader = kNoNode;
-  Height height = 0;
-  bool any_timeout = false;
-};
-
-struct Index {
-  std::size_t nodes = 0;
-  std::map<View, ViewGlobal> views;
-  std::map<View, std::vector<NV>> nv;
-
-  NV* at(View v, NodeId n) {
-    if (n == kNoNode || static_cast<std::size_t>(n) >= nodes) return nullptr;
-    auto it = nv.find(v);
-    if (it == nv.end()) return nullptr;
-    return &it->second[n];
-  }
-  NV& touch(View v, NodeId n) {
-    auto& vec = nv[v];
-    if (vec.empty()) vec.resize(nodes);
-    return vec[n];
-  }
-  const ViewGlobal* global(View v) const {
-    auto it = views.find(v);
-    return it == views.end() ? nullptr : &it->second;
-  }
-};
-
-Index build_index(const std::vector<Event>& merged, std::size_t nodes) {
-  Index ix;
-  ix.nodes = nodes;
-  for (const Event& e : merged) {
-    if (is_proposal_sent(e.kind)) {
-      auto& g = ix.views[e.view];
-      if (!g.has_proposed || e.t < g.proposed) {
-        g.proposed = e.t;
-        g.leader = e.node;
-        g.height = e.a;
-        g.has_proposed = true;
-      }
-      continue;
-    }
-    if (e.node == kNoNode || static_cast<std::size_t>(e.node) >= nodes)
-      continue;
-    if (is_proposal_recv(e.kind)) {
-      NV& n = ix.touch(e.view, e.node);
-      if (!n.has_recv) {
-        n.prop_recv = e.t;
-        n.has_recv = true;
-      }
-    } else if (e.kind == EventKind::kVoteCast) {
-      NV& n = ix.touch(e.view, e.node);
-      const std::size_t k = e.a < kVoteKinds ? e.a : 0;
-      if (!n.has_cast[k]) {
-        n.vote_cast[k] = e.t;
-        n.has_cast[k] = true;
-      }
-    } else if (e.kind == EventKind::kVoteRecv) {
-      ix.touch(e.view, e.node)
-          .vote_recvs.push_back({e.t, e.a, static_cast<NodeId>(e.b)});
-    } else if (e.kind == EventKind::kQcFormed) {
-      ix.touch(e.view, e.node).qcs.push_back({e.t, e.b});
-    } else if (e.kind == EventKind::kCommit) {
-      NV& n = ix.touch(e.view, e.node);
-      if (!n.has_commit) {
-        n.commit = e.t;
-        n.has_commit = true;
-      }
-    } else if (e.kind == EventKind::kTimeoutFired) {
-      ix.touch(e.view, e.node).timeout = true;
-      ix.views[e.view].any_timeout = true;
-    } else if (e.kind == EventKind::kTimeoutRetransmit) {
-      NV& n = ix.touch(e.view, e.node);
-      n.timeout = true;
-      n.retransmits.push_back(e.t);
-      ix.views[e.view].any_timeout = true;
-    }
-  }
-  return ix;
-}
 
 struct Cursor {
   enum Type : std::uint8_t { kAtQc, kAtVote } type = kAtQc;
@@ -142,7 +21,8 @@ struct Cursor {
 
 class Walker {
  public:
-  Walker(Index& ix, View v, TimePoint floor) : ix_(ix), view_(v), floor_(floor) {}
+  Walker(const LifecycleIndex& ix, View v, TimePoint floor)
+      : ix_(ix), view_(v), floor_(floor) {}
 
   // Runs the backward walk from the commit stamp; fills `path`.
   void run(NodeId observer, TimePoint committed, BlockPath& path) {
@@ -153,7 +33,7 @@ class Walker {
     View trigger_view = view_;
     NodeId o = observer;
     for (View u = view_; u <= view_ + 4; ++u) {
-      NV* n = ix_.at(u, o);
+      const NodeStamps* n = ix_.at(u, o);
       if (n == nullptr) continue;
       for (const QcStamp& q : n->qcs) {
         if (q.t > committed) continue;
@@ -220,13 +100,10 @@ class Walker {
   }
 
   // Explains a certificate for c.view formed at c.node at c.t. Returns false
-  // when the walk must stop.
+  // when the walk must stop. A cursor only ever lands on a stamp the index
+  // holds, so its (view, node) entry exists.
   bool step_qc(Cursor& c) {
-    NV* n = ix_.at(c.view, c.node);
-    if (n == nullptr) {
-      unattributed(c.t);
-      return false;
-    }
+    const NodeStamps* n = ix_.at(c.view, c.node);
     // The critical vote: the last vote of the QC's kind the aggregator saw
     // at the instant the certificate formed (certificates assemble inside
     // the same handler invocation, so exact-time matching is reliable; the
@@ -248,7 +125,7 @@ class Walker {
       const QcStamp* origin = nullptr;
       NodeId origin_node = kNoNode;
       for (NodeId r = 0; r < static_cast<NodeId>(ix_.nodes); ++r) {
-        NV* m = ix_.at(c.view, r);
+        const NodeStamps* m = ix_.at(c.view, r);
         if (m == nullptr) continue;
         for (const QcStamp& q : m->qcs) {
           if (q.t >= c.t) continue;
@@ -267,27 +144,22 @@ class Walker {
       c = Cursor{Cursor::kAtQc, origin_node, c.view, origin->t, origin->kind};
       return true;
     }
-    NV* voter = ix_.at(c.view, crit->voter);
+    const NodeStamps* voter = ix_.at(c.view, crit->voter);
     const std::size_t k = crit->kind < kVoteKinds ? crit->kind : 0;
-    if (voter == nullptr || !voter->has_cast[k] ||
-        voter->vote_cast[k] > crit->t) {
+    if (voter == nullptr || !voter->vote_cast[k] ||
+        *voter->vote_cast[k] > crit->t) {
       unattributed(c.t);
       return false;
     }
-    push(SegmentKind::kVoteFlight, c.view, crit->voter, c.node,
-         voter->vote_cast[k], c.t);
-    c = Cursor{Cursor::kAtVote, crit->voter, c.view, voter->vote_cast[k],
-               crit->kind};
+    const TimePoint cast = *voter->vote_cast[k];
+    push(SegmentKind::kVoteFlight, c.view, crit->voter, c.node, cast, c.t);
+    c = Cursor{Cursor::kAtVote, crit->voter, c.view, cast, crit->kind};
     return true;
   }
 
   // Explains a vote cast by c.node in c.view at c.t.
   bool step_vote(Cursor& c) {
-    NV* n = ix_.at(c.view, c.node);
-    if (n == nullptr) {
-      unattributed(c.t);
-      return false;
-    }
+    const NodeStamps* n = ix_.at(c.view, c.node);
     if (c.kind == static_cast<std::uint64_t>(VoteKind::kCommit)) {
       // Commit votes are sent upon certifying the view's block.
       if (const QcStamp* q = latest_qc(*n, c.t, /*skip_commit=*/true)) {
@@ -296,14 +168,14 @@ class Walker {
         return true;
       }
     }
-    const bool has_recv = n->has_recv && n->prop_recv <= c.t;
-    NV* prev = ix_.at(c.view - 1, c.node);
+    const bool has_recv = n->prop_recv && *n->prop_recv <= c.t;
+    const NodeStamps* prev = ix_.at(c.view - 1, c.node);
     const QcStamp* prev_qc =
         prev != nullptr ? latest_qc(*prev, c.t, false) : nullptr;
     // The binding constraint is whichever enabler landed *last*.
     if (has_recv &&
-        (prev_qc == nullptr || n->prop_recv >= prev_qc->t)) {
-      push(SegmentKind::kVoteGate, c.view, c.node, c.node, n->prop_recv, c.t);
+        (prev_qc == nullptr || *n->prop_recv >= prev_qc->t)) {
+      push(SegmentKind::kVoteGate, c.view, c.node, c.node, *n->prop_recv, c.t);
       return explain_proposal_arrival(c);
     }
     if (prev_qc != nullptr) {
@@ -318,57 +190,57 @@ class Walker {
   // From the proposal's arrival at c.node back through the flight and — for
   // pipelined views — the optimistic-proposal handoff.
   bool explain_proposal_arrival(Cursor& c) {
-    NV* n = ix_.at(c.view, c.node);
-    const ViewGlobal* g = ix_.global(c.view);
-    if (g == nullptr || !g->has_proposed || g->proposed > n->prop_recv) {
-      unattributed(n->prop_recv);
+    const TimePoint recv = *ix_.at(c.view, c.node)->prop_recv;
+    const ViewStamps* g = ix_.view(c.view);
+    if (!g->proposed || *g->proposed > recv) {
+      unattributed(recv);
       return false;
     }
+    const TimePoint proposed = *g->proposed;
     SegmentKind flight = SegmentKind::kProposeFlight;
-    if (NV* leader = ix_.at(c.view, g->leader)) {
-      for (TimePoint rtx : leader->retransmits) {
-        if (rtx > g->proposed && rtx <= n->prop_recv) {
+    if (const NodeStamps* leader = ix_.at(c.view, g->leader)) {
+      for (const TimeoutStamp& to : leader->timeouts) {
+        if (to.retransmit && to.t > proposed && to.t <= recv) {
           flight = SegmentKind::kRetransmitStall;
           break;
         }
       }
     }
-    push(flight, c.view, g->leader, c.node, g->proposed, n->prop_recv);
-    if (c.view <= view_ || g->proposed <= floor_) {
+    push(flight, c.view, g->leader, c.node, proposed, recv);
+    if (c.view <= view_ || proposed <= floor_) {
       reached_floor_ = true;
       return false;
     }
     // Why did the leader propose then? Optimistic handoff: it proposed for
     // view u upon casting its vote in u−1.
-    NV* lp = ix_.at(c.view - 1, g->leader);
-    if (lp != nullptr) {
+    if (const NodeStamps* lp = ix_.at(c.view - 1, g->leader)) {
       const TimePoint* cast = nullptr;
       std::uint64_t cast_kind = 0;
       for (std::size_t k = 0; k < kVoteKinds; ++k) {
-        if (!lp->has_cast[k] || lp->vote_cast[k] > g->proposed) continue;
-        if (cast == nullptr || lp->vote_cast[k] > *cast) {
-          cast = &lp->vote_cast[k];
+        if (!lp->vote_cast[k] || *lp->vote_cast[k] > proposed) continue;
+        if (cast == nullptr || *lp->vote_cast[k] > *cast) {
+          cast = &*lp->vote_cast[k];
           cast_kind = k;
         }
       }
       if (cast != nullptr) {
         push(SegmentKind::kProposeGate, c.view, g->leader, g->leader, *cast,
-             g->proposed);
+             proposed);
         c = Cursor{Cursor::kAtVote, g->leader, c.view - 1, *cast, cast_kind};
         return true;
       }
-      if (const QcStamp* q = latest_qc(*lp, g->proposed, false)) {
+      if (const QcStamp* q = latest_qc(*lp, proposed, false)) {
         push(SegmentKind::kCertWait, c.view, g->leader, g->leader, q->t,
-             g->proposed);
+             proposed);
         c = Cursor{Cursor::kAtQc, g->leader, c.view - 1, q->t, q->kind};
         return true;
       }
     }
-    unattributed(g->proposed);
+    unattributed(proposed);
     return false;
   }
 
-  static const QcStamp* latest_qc(const NV& n, TimePoint upto,
+  static const QcStamp* latest_qc(const NodeStamps& n, TimePoint upto,
                                   bool skip_commit) {
     const QcStamp* best = nullptr;
     for (const QcStamp& q : n.qcs) {
@@ -385,15 +257,15 @@ class Walker {
     path.segments.assign(backward_.rbegin(), backward_.rend());
     path.complete = reached_floor_ && !used_unattributed_;
     for (View u : touched_views_) {
-      const ViewGlobal* g = ix_.global(u);
-      if (g != nullptr && g->any_timeout) path.timeout_on_path = true;
+      const ViewStamps* g = ix_.view(u);
+      if (g != nullptr && g->any_timeout()) path.timeout_on_path = true;
     }
     for (const Segment& s : path.segments) {
       if (s.kind == SegmentKind::kRetransmitStall) path.timeout_on_path = true;
     }
   }
 
-  Index& ix_;
+  const LifecycleIndex& ix_;
   View view_;
   TimePoint floor_;
   std::vector<Segment> backward_;
@@ -425,36 +297,32 @@ Duration BlockPath::attributed() const {
   return sum;
 }
 
-CritPathReport analyze_critical_path(const std::vector<Event>& merged,
-                                     std::size_t nodes, NodeId observer) {
+CritPathReport analyze_critical_path(const LifecycleIndex& ix,
+                                     NodeId observer) {
   CritPathReport report;
   report.observer = observer;
-  Index ix = build_index(merged, nodes);
 
-  const ViewGlobal* prev = nullptr;
+  const ViewStamps* prev = nullptr;
   View prev_view = 0;
   for (const auto& [view, g] : ix.views) {
-    if (!g.has_proposed) continue;
+    if (!g.proposed) continue;
     if (prev != nullptr && view == prev_view + 1)
-      report.period.record(g.proposed - prev->proposed);
+      report.period.record(*g.proposed - *prev->proposed);
     prev = &g;
     prev_view = view;
   }
 
-  for (auto& [view, vec] : ix.nv) {
-    if (static_cast<std::size_t>(observer) >= vec.size()) continue;
-    const NV& obs_nv = vec[observer];
-    if (!obs_nv.has_commit) continue;
-    const ViewGlobal* g = ix.global(view);
-    if (g == nullptr || !g->has_proposed || g->proposed > obs_nv.commit)
+  for (const auto& [view, g] : ix.views) {
+    const NodeStamps* o = ix.at(view, observer);
+    if (o == nullptr || !o->commit || !g.proposed || *g.proposed > *o->commit)
       continue;
     BlockPath path;
     path.view = view;
-    path.height = g->height;
-    path.proposed = g->proposed;
-    path.committed = obs_nv.commit;
-    Walker walker(ix, view, g->proposed);
-    walker.run(observer, obs_nv.commit, path);
+    path.height = g.height;
+    path.proposed = *g.proposed;
+    path.committed = *o->commit;
+    Walker walker(ix, view, path.proposed);
+    walker.run(observer, path.committed, path);
     if (path.complete) report.latency.record(path.latency());
     for (const Segment& s : path.segments) {
       report.by_kind[static_cast<std::size_t>(s.kind)].record(s.duration());

@@ -1,8 +1,10 @@
 // Critical-path commit-latency attribution.
 //
-// For every block the observer commits, walks the causal chain *backwards*
-// from the commit to the view's proposal multicast and attributes the whole
-// commit latency λ = committed − proposed to named, non-overlapping
+// Reads the per-view lifecycle index (lifecycle.hpp), the one the span
+// graph, the timeline lanes and the flight recorder read too. For every
+// block the observer commits, walks the causal chain *backwards* from the
+// commit to the view's proposal multicast and attributes the whole commit
+// latency λ = committed − proposed to named, non-overlapping
 // segments. Each walk step moves the cursor from one trace stamp to the
 // stamp that causally enabled it, so consecutive segments share endpoints
 // and the segment durations telescope: they sum to λ exactly (the sim is
@@ -37,8 +39,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/event.hpp"
 #include "obs/hist.hpp"
+#include "obs/lifecycle.hpp"
 
 namespace moonshot::obs {
 
@@ -92,10 +94,9 @@ struct CritPathReport {
   Histogram period;
 };
 
-/// Runs the backward walk over merged() output for every block the observer
-/// committed. `nodes` bounds replica ids.
-CritPathReport analyze_critical_path(const std::vector<Event>& merged,
-                                     std::size_t nodes, NodeId observer = 0);
+/// Runs the backward walk for every block the observer committed.
+CritPathReport analyze_critical_path(const LifecycleIndex& index,
+                                     NodeId observer = 0);
 
 /// Paper latency bound λ ≤ cδ·δ + cω·ω.
 struct LatencyBound {

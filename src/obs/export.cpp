@@ -2,9 +2,7 @@
 
 #include <cinttypes>
 #include <map>
-#include <sstream>
-
-#include "obs/span.hpp"
+#include <optional>
 
 namespace moonshot::obs {
 
@@ -30,11 +28,6 @@ std::string to_jsonl(const std::vector<Event>& events) {
     out += '\n';
   }
   return out;
-}
-
-void write_jsonl(const std::vector<Event>& events, std::FILE* out) {
-  const std::string s = to_jsonl(events);
-  std::fwrite(s.data(), 1, s.size(), out);
 }
 
 void write_chrome_trace(const std::vector<Event>& events, std::size_t nodes,
@@ -107,60 +100,36 @@ struct ViewCounters {
 };
 
 // One line per view summarising each node's lifecycle offsets (ms after the
-// proposal multicast): recv/vote/qc/commit, '-' when the stamp is missing.
-void print_span_lanes(const SpanGraph& g, View view, std::FILE* out) {
-  const Span* root = g.root_for_view(view);
-  if (root == nullptr) return;
-  TimePoint base = root->start;
-  struct Lane {
-    TimePoint recv{}, vote{}, qc{}, commit{};
-    bool has[4] = {false, false, false, false};
-  };
-  std::map<NodeId, Lane> lanes;
-  for (const Span& s : g.spans) {
-    if (s.view != view) continue;
-    switch (s.kind) {
-      case SpanKind::kDeliver:
-        lanes[s.peer].recv = s.end;
-        lanes[s.peer].has[0] = true;
-        break;
-      case SpanKind::kVote:
-        lanes[s.node].vote = s.end;
-        lanes[s.node].has[1] = true;
-        break;
-      case SpanKind::kAggregate:
-        lanes[s.node].qc = s.end;
-        lanes[s.node].has[2] = true;
-        break;
-      case SpanKind::kCommit:
-        lanes[s.node].commit = s.end;
-        lanes[s.node].has[3] = true;
-        break;
-      default: break;
-    }
-  }
-  if (lanes.empty()) return;
-  std::fprintf(out, "  lanes (+ms after %.3fms):",
-               static_cast<double>(base.ns) / 1e6);
+// view's earliest stamp): recv/vote/qc/commit, left out when missing.
+void print_span_lanes(const LifecycleIndex& ix, View view, std::FILE* out) {
+  const ViewStamps* s = ix.view(view);
+  const auto extent = s != nullptr ? s->extent() : std::nullopt;
+  if (!extent) return;
+  const TimePoint base = extent->first;
   bool first = true;
-  for (const auto& [node, lane] : lanes) {
-    std::fprintf(out, "%s n%u:", first ? "" : " |", node);
+  for (NodeId i = 0; i < static_cast<NodeId>(ix.nodes); ++i) {
+    const NodeStamps& n = s->node[i];
+    const std::optional<TimePoint> stamps[4] = {
+        s->proposed ? n.prop_recv : std::nullopt, n.first_vote_cast(),
+        n.qcs.empty() ? std::nullopt : std::optional(n.qcs.front().t), n.commit};
+    if (!stamps[0] && !stamps[1] && !stamps[2] && !stamps[3]) continue;
+    if (first)
+      std::fprintf(out, "  lanes (+ms after %.3fms):",
+                   static_cast<double>(base.ns) / 1e6);
+    std::fprintf(out, "%s n%u:", first ? "" : " |", i);
     first = false;
     const char* tags[4] = {"recv", "vote", "qc", "commit"};
-    const TimePoint stamps[4] = {lane.recv, lane.vote, lane.qc, lane.commit};
-    for (int i = 0; i < 4; ++i) {
-      if (lane.has[i])
-        std::fprintf(out, " %s+%.1f", tags[i], to_ms(stamps[i] - base));
+    for (int k = 0; k < 4; ++k) {
+      if (stamps[k]) std::fprintf(out, " %s+%.1f", tags[k], to_ms(*stamps[k] - base));
     }
   }
-  std::fputc('\n', out);
+  if (!first) std::fputc('\n', out);
 }
 
 }  // namespace
 
-void print_timeline(const std::vector<Event>& events, std::size_t nodes,
+void print_timeline(const std::vector<Event>& events, const LifecycleIndex& index,
                     std::FILE* out, std::size_t max_events) {
-  const SpanGraph graph = build_span_graph(events, nodes);
   std::map<View, ViewCounters> counters;
   for (const Event& e : events) {
     if (e.kind == EventKind::kViewEnter) {
@@ -183,7 +152,7 @@ void print_timeline(const std::vector<Event>& events, std::size_t nodes,
                    "---- view %" PRIu64
                    " ---- enter via qc=%u tc=%u, timeouts=%u rtx=%u\n",
                    max_entered, c.via_qc, c.via_tc, c.timeouts, c.retransmits);
-      print_span_lanes(graph, max_entered, out);
+      print_span_lanes(index, max_entered, out);
     }
     char who[16];
     if (e.node == kNoNode) {

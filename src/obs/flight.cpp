@@ -86,11 +86,13 @@ bool write_flight_recording(const std::string& path, const FlightContext& ctx,
 
   std::vector<Event> merged;
   if (tracer != nullptr) merged = tracer->merged();
+  const bool analyse = !merged.empty() && ctx.nodes > 0;
+  const LifecycleIndex index =
+      analyse ? build_lifecycle_index(merged, ctx.nodes) : LifecycleIndex{};
 
   std::fputs("  \"critpath\": [\n", f);
-  if (!merged.empty() && ctx.nodes > 0) {
-    const CritPathReport report =
-        analyze_critical_path(merged, ctx.nodes, /*observer=*/0);
+  if (analyse) {
+    const CritPathReport report = analyze_critical_path(index, /*observer=*/0);
     bool first = true;
     for (const BlockPath& p : report.blocks) {
       std::fprintf(f,
@@ -120,8 +122,8 @@ bool write_flight_recording(const std::string& path, const FlightContext& ctx,
   std::fputs("  ],\n", f);
 
   std::fputs("  \"spans\": [\n", f);
-  if (!merged.empty() && ctx.nodes > 0) {
-    const SpanGraph g = build_span_graph(merged, ctx.nodes);
+  if (analyse) {
+    const SpanGraph g = build_span_graph(index);
     const std::size_t begin =
         g.spans.size() > cfg.max_spans ? g.spans.size() - cfg.max_spans : 0;
     for (std::size_t i = begin; i < g.spans.size(); ++i) {

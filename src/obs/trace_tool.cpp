@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -148,13 +149,17 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-void write_file(const std::string& path, void (*writer)(const std::vector<obs::Event>&,
-                                                        std::size_t, std::FILE*),
-                const std::vector<obs::Event>& events, std::size_t nodes) {
+// Opens `path` for writing, hands it to `write` and closes it; a path that
+// cannot be opened is a usage error.
+void write_file(const std::string& path, const std::function<void(std::FILE*)>& write) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) usage_error(("cannot open " + path).c_str());
-  writer(events, nodes, f);
+  write(f);
   std::fclose(f);
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  write_file(path, [&](std::FILE* f) { std::fwrite(text.data(), 1, text.size(), f); });
 }
 
 }  // namespace
@@ -221,34 +226,20 @@ int main(int argc, char** argv) {
   const ExperimentResult result = exp.run();
 
   const std::vector<obs::Event> merged = tracer.merged();
+  const obs::LifecycleIndex index = obs::build_lifecycle_index(merged, opt.n);
 
-  if (!opt.jsonl_path.empty()) {
-    std::FILE* f = std::fopen(opt.jsonl_path.c_str(), "w");
-    if (!f) usage_error(("cannot open " + opt.jsonl_path).c_str());
-    obs::write_jsonl(merged, f);
-    std::fclose(f);
-  }
+  if (!opt.jsonl_path.empty()) write_text(opt.jsonl_path, obs::to_jsonl(merged));
   if (!opt.chrome_path.empty()) {
-    write_file(opt.chrome_path, &obs::write_chrome_trace, merged, opt.n);
+    write_file(opt.chrome_path,
+               [&](std::FILE* f) { obs::write_chrome_trace(merged, opt.n, f); });
   }
   if (!opt.prom_path.empty()) {
     obs::Registry reg;
     exp.export_metrics(reg);
-    std::FILE* f = std::fopen(opt.prom_path.c_str(), "w");
-    if (!f) usage_error(("cannot open " + opt.prom_path).c_str());
-    const std::string text = reg.prometheus_text();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    write_text(opt.prom_path, reg.prometheus_text());
   }
-  if (!opt.metrics_jsonl_path.empty()) {
-    std::FILE* f = std::fopen(opt.metrics_jsonl_path.c_str(), "w");
-    if (!f) usage_error(("cannot open " + opt.metrics_jsonl_path).c_str());
-    std::fwrite(ts_lines.data(), 1, ts_lines.size(), f);
-    std::fclose(f);
-  }
-  if (opt.timeline) {
-    obs::print_timeline(merged, opt.n, stdout);
-  }
+  if (!opt.metrics_jsonl_path.empty()) write_text(opt.metrics_jsonl_path, ts_lines);
+  if (opt.timeline) obs::print_timeline(merged, index, stdout);
 
   std::printf("protocol=%s n=%zu seed=%llu delta=%lldms duration=%lldms%s%s\n",
               protocol_name(opt.protocol), opt.n,
@@ -284,8 +275,8 @@ int main(int argc, char** argv) {
   const Duration delta =
       milliseconds(opt.fixed_delay_ms > 0 ? opt.fixed_delay_ms : opt.delta_ms);
 
-  const obs::CritPathReport report = obs::analyze_critical_path(
-      merged, opt.n, static_cast<NodeId>(opt.observer));
+  const obs::CritPathReport report =
+      obs::analyze_critical_path(index, static_cast<NodeId>(opt.observer));
   const obs::LatencyBound bound = obs::paper_bound(protocol_cli_tag(opt.protocol));
   if (!critpath_mode) {
     obs::print_latency_summary(report, bound, delta, stdout);
@@ -293,11 +284,8 @@ int main(int argc, char** argv) {
   }
   obs::print_critpath(report, delta, stdout);
   if (!opt.dot_path.empty()) {
-    const obs::SpanGraph g = obs::build_span_graph(merged, opt.n);
-    std::FILE* f = std::fopen(opt.dot_path.c_str(), "w");
-    if (!f) usage_error(("cannot open " + opt.dot_path).c_str());
-    obs::write_span_dot(g, f);
-    std::fclose(f);
+    const obs::SpanGraph g = obs::build_span_graph(index);
+    write_file(opt.dot_path, [&](std::FILE* f) { obs::write_span_dot(g, f); });
   }
   if (opt.check_bounds) {
     // In the fixed-δ setting the optimistic-handoff delay ω equals δ.

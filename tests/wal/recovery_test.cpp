@@ -315,7 +315,8 @@ TEST(WalHappyPath, OmegaAndLambdaHoldWithDurability) {
   ASSERT_TRUE(r.logs_consistent);
   ASSERT_GT(r.summary.committed_blocks, 20u);
 
-  const auto report = obs::analyze_critical_path(tracer.merged(), cfg.n);
+  const auto report =
+      obs::analyze_critical_path(obs::build_lifecycle_index(tracer.merged(), cfg.n));
   ASSERT_GT(report.blocks.size(), 20u);
   const double delta_ms = to_ms(kDelta);
   EXPECT_NEAR(report.period.mean_ms() / delta_ms, 1.0, 0.15);   // ω ≈ 1δ
