@@ -169,7 +169,7 @@ chaos::FaultSchedule with_adversaries(chaos::FaultSchedule s,
 class Run {
  public:
   explicit Run(const McConfig& cfg)
-      : cfg_(cfg), tracer_(cfg.n, obs::TracerConfig{/*ring_capacity=*/512, true}) {
+      : cfg_(cfg), tracer_(cfg.n, obs::TracerConfig{/*ring_capacity=*/512}) {
     ExperimentConfig e;
     e.protocol = cfg.protocol;
     e.n = cfg.n;

@@ -65,8 +65,7 @@ std::vector<Event> EventRing::snapshot() const {
   return out;
 }
 
-Tracer::Tracer(std::size_t nodes, TracerConfig cfg)
-    : enabled_(cfg.enabled) {
+Tracer::Tracer(std::size_t nodes, TracerConfig cfg) {
   rings_.reserve(nodes + 1);
   for (std::size_t i = 0; i < nodes + 1; ++i) rings_.emplace_back(cfg.ring_capacity);
   node_digests_.assign(nodes, kFnv1aOffsetBasis);

@@ -1,8 +1,9 @@
 // Per-node ring-buffered trace collector.
 //
 // A Tracer owns one fixed-capacity ring per replica plus one environment
-// ring. record() is the hot path: one branch, one clock read, one slot write
-// — no allocation, no locks (the simulator is single-threaded). When a ring
+// ring. record() is the hot path: one clock read, one slot write — no
+// allocation, no locks (the simulator is single-threaded). There is no
+// runtime off switch: an untraced run passes a null Tracer* to every hook. When a ring
 // fills, the oldest events are overwritten and counted as dropped; the
 // running digest still covers every event ever recorded, so two runs of the
 // same seeded simulation produce identical digests even after wrap.
@@ -55,7 +56,6 @@ struct MessageCounter {
 struct TracerConfig {
   /// Events retained per ring (per node, and one environment ring).
   std::size_t ring_capacity = 1 << 16;
-  bool enabled = true;
 };
 
 class Tracer {
@@ -67,14 +67,10 @@ class Tracer {
   /// first record(); the Experiment wires its own scheduler in.
   void set_clock(const sim::Scheduler* clock) { clock_ = clock; }
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   /// Hot path. Events from `node` go to its ring; kNoNode to the
-  /// environment ring. Cheap no-op when disabled.
+  /// environment ring.
   void record(NodeId node, EventKind kind, View view, std::uint64_t a = 0,
               std::uint64_t b = 0, std::uint64_t c = 0) {
-    if (!enabled_) return;
     Event e;
     e.t = clock_ ? clock_->now() : TimePoint::zero();
     e.seq = next_seq_++;
@@ -168,7 +164,6 @@ class Tracer {
   std::uint64_t next_seq_ = 0;
   std::uint64_t digest_ = kFnv1aOffsetBasis;
   std::uint64_t total_recorded_ = 0;
-  bool enabled_ = true;
 };
 
 /// 64-bit prefix of a content-derived id (block ids etc.) for event args.

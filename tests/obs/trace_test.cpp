@@ -56,19 +56,6 @@ TEST(Tracer, RoutesNodeEventsToNodeRingAndEnvToEnvRing) {
   EXPECT_EQ(t.total_dropped(), 0u);
 }
 
-TEST(Tracer, DisabledRecordsNothing) {
-  obs::TracerConfig cfg;
-  cfg.enabled = false;
-  obs::Tracer t(2, cfg);
-  const std::uint64_t empty_digest = t.digest();
-  t.record(0, obs::EventKind::kVoteCast, 1);
-  t.record(kNoNode, obs::EventKind::kMsgSent, 0, /*type=*/3, /*bytes=*/100);
-  EXPECT_EQ(t.total_recorded(), 0u);
-  EXPECT_EQ(t.ring(0).size(), 0u);
-  EXPECT_EQ(t.digest(), empty_digest);
-  EXPECT_EQ(t.message_counter(3).sent, 0u);
-}
-
 TEST(Tracer, MessageCountersTallyInline) {
   obs::Tracer t(2);
   t.record(0, obs::EventKind::kMsgSent, 0, /*type=*/3, /*bytes=*/100, kNoNode);
