@@ -295,6 +295,41 @@ void BM_VoteAccumulator(benchmark::State& state) {
 }
 BENCHMARK(BM_VoteAccumulator);
 
+void BM_VoteAccumulatorPm200(benchmark::State& state) {
+  // Pipelined-Moonshot-shaped load at n=200: optimistic and normal votes,
+  // three live views, and the view-entry prune. At the entry of view v a
+  // third of the voters votes for each of v−1, v and v+1, so every view gets
+  // all 200 voters of both kinds over three entries.
+  constexpr NodeId kN = 200;
+  constexpr View kViews = 12;
+  const auto gen = ValidatorSet::generate(kN, crypto::fast_scheme(), 1);
+  std::vector<BlockId> blocks;
+  for (View v = 0; v <= kViews + 1; ++v)
+    blocks.push_back(Block::create(v, v, Block::genesis()->id(), Payload::synthetic(0, v))->id());
+  std::vector<std::vector<Vote>> arrivals(kViews + 1);  // by entered view
+  for (View v = 1; v <= kViews; ++v) {
+    for (NodeId i = 0; i < kN; ++i) {
+      const View target = v + 1 - (3 * i) / kN;  // thirds: v+1, v, v−1
+      if (target < 1) continue;
+      for (const VoteKind kind : {VoteKind::kOptimistic, VoteKind::kNormal})
+        arrivals[v].push_back(Vote::make(kind, target, blocks[target], i, gen.private_keys[i],
+                                         gen.set->scheme()));
+    }
+  }
+  std::int64_t items = 0;
+  for (auto _ : state) {
+    View view = 0;
+    VoteAccumulator acc(gen.set, false, false, &view);
+    for (view = 1; view <= kViews; ++view) {
+      if (view > 2) acc.prune_below(view - 2);
+      for (const Vote& vote : arrivals[view]) benchmark::DoNotOptimize(acc.add(vote, 1));
+      items += static_cast<std::int64_t>(arrivals[view].size());
+    }
+  }
+  state.SetItemsProcessed(items);
+}
+BENCHMARK(BM_VoteAccumulatorPm200);
+
 // Trace hot path (DESIGN.md §5.2). The two variants bound the cost of
 // instrumentation: recording, and the null-pointer hook guard compiled into
 // every call site, which is all an untraced run pays.

@@ -92,9 +92,8 @@ void AdversaryNode::mimic_deliver(NodeId from, const MessagePtr& m) {
           // amplification so the honest pacemaker round completes.
           if (msg.timeout.high_qc) note_cert(msg.timeout.high_qc);
           const auto res = timeout_acc_.add(msg.timeout);
-          if (res.reached_f_plus_1 && msg.timeout.view >= view_ &&
-              timeout_view_ < msg.timeout.view) {
-            send_own_timeout(msg.timeout.view);
+          if (const View v = res.f_plus_1_view; v != 0 && v >= view_ && timeout_view_ < v) {
+            send_own_timeout(v);
           }
           if (res.tc) note_tc(res.tc);
         }

@@ -20,7 +20,7 @@ namespace moonshot::adversary {
 struct AdversarySpec {
   NodeId node = kNoNode;
   /// One of strategy_names(): "equivocate", "silent", "delay", "partial",
-  /// "fork", "stale", "timeout-equiv", "withhold", "badsig".
+  /// "fork", "stale", "timeout-equiv", "withhold", "badsig", "future-flood".
   std::string strategy = "equivocate";
   /// Active view range [view_from, view_to]; view_to == 0 means unbounded.
   View view_from = 1;

@@ -235,6 +235,39 @@ class BadSignature final : public AdversaryStrategy {
   MessagePtr forged_;
 };
 
+// --- FutureFlood -------------------------------------------------------------
+// Votes honestly, and with each vote multicasts a burst of validly signed
+// votes (every kind, each for a block id never used before) and a timeout,
+// all for views past every honest node's accumulator window. Without the
+// window each would create per-view state in every honest node; with it the
+// votes are dropped and counted (vote-out-of-window) and the timeouts keep
+// one view per sender, which f senders can never push to f+1.
+class FutureFlood final : public AdversaryStrategy {
+ public:
+  using AdversaryStrategy::AdversaryStrategy;
+  std::string_view name() const override { return "future-flood"; }
+
+  bool on_vote(AdversaryNode& node, const BlockPtr&, VoteKind) override {
+    constexpr VoteKind kKinds[] = {VoteKind::kNormal, VoteKind::kOptimistic,
+                                   VoteKind::kFallback, VoteKind::kCommit};
+    const auto far = [&] { return node.view() + 2 * kViewWindow + sent_ % 1000; };
+    for (int i = 0; i < 32; ++i) {
+      ++sent_;
+      BlockId block;  // a fresh id per vote, never a real block's
+      for (std::size_t b = 0; b < 8; ++b)
+        block.data[b] = static_cast<std::uint8_t>(sent_ >> (8 * b));
+      block.data[31] = 0xff;
+      if (auto vote = node.sign_vote(kKinds[i % 4], far(), block))
+        node.send_all(make_message<VoteMsg>(*vote));
+    }
+    node.send_all(make_message<TimeoutMsgWrap>(node.sign_timeout(far(), nullptr)));
+    return true;
+  }
+
+ private:
+  std::uint64_t sent_ = 0;
+};
+
 // --- Equivocate (migrated EquivocatorNode) -----------------------------------
 // The canonical safety attack, moved verbatim from consensus/byzantine.cpp:
 // when leading, unicast conflicting proposals to the two halves of the
@@ -421,7 +454,7 @@ class Equivocate final : public AdversaryStrategy {
 const std::vector<std::string>& strategy_names() {
   static const std::vector<std::string> kNames = {
       "equivocate", "silent", "delay", "partial", "fork",
-      "stale", "timeout-equiv", "withhold", "badsig",
+      "stale", "timeout-equiv", "withhold", "badsig", "future-flood",
   };
   return kNames;
 }
@@ -442,6 +475,7 @@ StrategyPtr make_strategy(const AdversarySpec& spec) {
   if (spec.strategy == "timeout-equiv") return std::make_unique<TimeoutEquivocator>(spec);
   if (spec.strategy == "withhold") return std::make_unique<VoteWithholder>(spec);
   if (spec.strategy == "badsig") return std::make_unique<BadSignature>(spec);
+  if (spec.strategy == "future-flood") return std::make_unique<FutureFlood>(spec);
   return nullptr;
 }
 

@@ -12,8 +12,8 @@ namespace moonshot {
 
 BaseNode::BaseNode(NodeContext ctx)
     : ctx_(std::move(ctx)),
-      vote_acc_(ctx_.validators, ctx_.verify_signatures, ctx_.aggregate_certificates),
-      timeout_acc_(ctx_.validators, ctx_.verify_signatures) {
+      vote_acc_(ctx_.validators, ctx_.verify_signatures, ctx_.aggregate_certificates, &view_),
+      timeout_acc_(ctx_.validators, ctx_.verify_signatures, &view_) {
   MOONSHOT_INVARIANT(ctx_.network && ctx_.sched && ctx_.validators && ctx_.leaders,
                      "node context incomplete");
   // Locks attached to timeouts are validated through the same cache as
@@ -440,6 +440,8 @@ NodeCounters BaseNode::counters() const {
   c.vote_duplicates_dropped = vote_acc_.duplicates_dropped();
   c.timeout_duplicates_dropped = timeout_acc_.duplicates_dropped();
   c.vote_bad_signatures_caught = vote_acc_.bad_signatures_caught();
+  c.vote_window_dropped = vote_acc_.window_dropped();
+  c.accumulator_entries = vote_acc_.entries() + timeout_acc_.entries();
   c.cert_cache_hits = cert_cache_.stats().hits;
   c.cert_cache_misses = cert_cache_.stats().misses;
   return c;

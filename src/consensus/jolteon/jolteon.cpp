@@ -56,8 +56,7 @@ void JolteonNode::handle(NodeId from, const MessagePtr& m) {
           if (msg.timeout.high_qc) handle_qc(msg.timeout.high_qc, /*already_validated=*/false);
           answer_stale_timeout(from, msg.timeout.view, high_qc_);
           const auto result = timeout_acc_.add(msg.timeout);
-          if (result.reached_f_plus_1 && msg.timeout.view >= view_)
-            send_timeout(msg.timeout.view);
+          if (const View v = result.f_plus_1_view; v != 0 && v >= view_) send_timeout(v);
           if (result.tc) {
             trace(obs::EventKind::kTcFormed, result.tc->view, result.tc->high_qc_view());
             handle_tc(result.tc, /*already_validated=*/true);

@@ -6,7 +6,15 @@ namespace moonshot {
 
 CommitMoonshotNode::CommitMoonshotNode(NodeContext ctx)
     : PipelinedMoonshotNode(std::move(ctx)),
-      commit_acc_(ctx_.validators, ctx_.verify_signatures, ctx_.aggregate_certificates) {}
+      commit_acc_(ctx_.validators, ctx_.verify_signatures, ctx_.aggregate_certificates,
+                  &view_) {}
+
+NodeCounters CommitMoonshotNode::counters() const {
+  NodeCounters c = PipelinedMoonshotNode::counters();
+  c.vote_window_dropped += commit_acc_.window_dropped();
+  c.accumulator_entries += commit_acc_.entries();
+  return c;
+}
 
 void CommitMoonshotNode::on_new_certificate(const QcPtr& qc) {
   if (qc->is_genesis()) return;
@@ -30,6 +38,7 @@ void CommitMoonshotNode::on_new_certificate(const QcPtr& qc) {
 
 void CommitMoonshotNode::on_commit_vote(const Vote& vote) {
   if (vote.kind != VoteKind::kCommit) return;
+  if (view_ > kCommitVoteDepth) commit_acc_.prune_below(view_ - kCommitVoteDepth);
   const BlockPtr body = store_.get(vote.block);
   if (const QcPtr qc = commit_acc_.add(vote, body ? body->height() : 0)) {
     // Alternative Direct Commit: a quorum of commit votes commits the block
@@ -46,13 +55,9 @@ void CommitMoonshotNode::send_commit_vote(View view, const BlockId& block) {
   if (!vote) return;
   commit_voted_.emplace(view, block);
   multicast(make_message<VoteMsg>(*vote));
-
-  // Bound memory: very old commit-vote state can no longer help (blocks
-  // that miss the alternative path still commit via the two-chain rule).
-  if (view_ > 16) {
-    commit_acc_.prune_below(view_ - 16);
-    commit_voted_.erase(commit_voted_.begin(), commit_voted_.lower_bound(view_ - 16));
-  }
+  if (view_ > kCommitVoteDepth)
+    commit_voted_.erase(commit_voted_.begin(),
+                        commit_voted_.lower_bound(view_ - kCommitVoteDepth));
 }
 
 void CommitMoonshotNode::on_wal_restored(const wal::RecoveredState& rs) {

@@ -26,6 +26,7 @@ class CommitMoonshotNode final : public PipelinedMoonshotNode {
   explicit CommitMoonshotNode(NodeContext ctx);
 
   std::string protocol_name() const override { return "commit-moonshot"; }
+  NodeCounters counters() const override;
 
  protected:
   void on_new_certificate(const QcPtr& qc) override;
@@ -33,6 +34,11 @@ class CommitMoonshotNode final : public PipelinedMoonshotNode {
   void on_wal_restored(const wal::RecoveredState& state) override;
 
  private:
+  /// Views below view_ − kCommitVoteDepth keep no commit-vote state: it can
+  /// no longer help (blocks that miss the alternative path still commit via
+  /// the two-chain rule).
+  static constexpr View kCommitVoteDepth = 16;
+
   void send_commit_vote(View view, const BlockId& block);
 
   /// Commit votes this node has multicast, by view (for dedup and the

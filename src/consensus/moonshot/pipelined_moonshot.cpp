@@ -92,8 +92,7 @@ void PipelinedMoonshotNode::handle(NodeId from, const MessagePtr& m) {
           answer_stale_timeout(from, msg.timeout.view, lock_);
           const auto result = timeout_acc_.add(msg.timeout);
           // Bracha amplification: f+1 timeouts for any view ≥ ours → join.
-          if (result.reached_f_plus_1 && msg.timeout.view >= view_)
-            send_timeout(msg.timeout.view);
+          if (const View v = result.f_plus_1_view; v != 0 && v >= view_) send_timeout(v);
           if (result.tc) {
             trace(obs::EventKind::kTcFormed, result.tc->view);
             handle_tc(result.tc, /*already_validated=*/true);

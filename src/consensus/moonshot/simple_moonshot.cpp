@@ -70,7 +70,7 @@ void SimpleMoonshotNode::handle(NodeId from, const MessagePtr& m) {
           const auto result = timeout_acc_.add(msg.timeout);
           // Figure 1 rule 4: f+1 timeouts for the *current* view make us
           // stop voting and join the timeout.
-          if (result.reached_f_plus_1 && msg.timeout.view == view_) send_timeout(view_);
+          if (result.f_plus_1_view == view_) send_timeout(view_);
           if (result.tc) {
             trace(obs::EventKind::kTcFormed, result.tc->view);
             handle_tc(result.tc, /*already_validated=*/true);

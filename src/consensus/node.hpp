@@ -34,6 +34,12 @@ struct NodeCounters {
   /// (view, voter) pairs caught with a bad vote signature (see
   /// VoteAccumulator::bad_signatures_caught), exported as kind vote-bad-sig.
   std::uint64_t vote_bad_signatures_caught = 0;
+  /// Votes dropped because their view was outside the accumulator window
+  /// (see consensus/accumulators.hpp), exported as kind vote-out-of-window.
+  std::uint64_t vote_window_dropped = 0;
+  /// A gauge, not a count: the votes, vote buckets and timeouts the
+  /// accumulators hold at the time of the read.
+  std::uint64_t accumulator_entries = 0;
   std::uint64_t cert_cache_hits = 0;
   std::uint64_t cert_cache_misses = 0;
 };

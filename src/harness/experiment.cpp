@@ -408,6 +408,7 @@ void Experiment::export_metrics(obs::Registry& reg) {
         {"vote-duplicate", c.vote_duplicates_dropped},
         {"timeout-duplicate", c.timeout_duplicates_dropped},
         {"vote-bad-sig", c.vote_bad_signatures_caught},
+        {"vote-out-of-window", c.vote_window_dropped},
     };
     for (const auto& [kind, value] : detections) {
       if (value == 0) continue;

@@ -109,7 +109,12 @@ SpanGraph build_span_graph(const LifecycleIndex& ix) {
         a.view = view;
         a.node = j;
         a.kind = SpanKind::kAggregate;
-        a.start = n.vote_recvs.empty() ? qc : std::min(n.vote_recvs.front().t, qc);
+        // Aggregation starts at the first vote receipt, but no earlier than
+        // the view's root: under ring wrap or a crash that receipt can be
+        // the oldest stamp left of the view, which the root does not span.
+        a.start = n.vote_recvs.empty()
+                      ? qc
+                      : std::max(root.start, std::min(n.vote_recvs.front().t, qc));
         a.end = qc;
         agg_id = add(a);
         aggregates_by_node[j].push_back(agg_id);

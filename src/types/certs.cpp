@@ -39,6 +39,8 @@ QcPtr QuorumCert::assemble(const std::vector<Vote>& votes, Height block_height,
 
   std::vector<const Vote*> sorted;
   sorted.reserve(votes.size());
+  qc->voters.reserve(votes.size());
+  qc->sigs.reserve(votes.size());
   for (const auto& v : votes) sorted.push_back(&v);
   std::sort(sorted.begin(), sorted.end(),
             [](const Vote* a, const Vote* b) { return a->voter < b->voter; });

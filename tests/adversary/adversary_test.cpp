@@ -57,7 +57,8 @@ TEST(AdversaryRegistry, CatalogueCoversTheStrategyLibrary) {
   const auto& names = adversary::strategy_names();
   const std::set<std::string> have(names.begin(), names.end());
   for (const char* expected : {"equivocate", "silent", "delay", "partial", "fork",
-                               "stale", "timeout-equiv", "withhold", "badsig"}) {
+                               "stale", "timeout-equiv", "withhold", "badsig",
+                               "future-flood"}) {
     EXPECT_TRUE(have.count(expected)) << "missing strategy: " << expected;
     EXPECT_TRUE(adversary::known_strategy(expected));
   }
@@ -287,6 +288,27 @@ TEST(AdversaryDetection, BadVoteSignatureIsCountedAndExported) {
   e.export_metrics(reg);
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("vote-bad-sig"), std::string::npos) << text;
+}
+
+TEST(AdversaryDetection, FutureFloodIsCountedAndExported) {
+  // Votes for views past the honest accumulators' window are dropped and
+  // counted, and the registry reports them per detecting node.
+  ExperimentConfig cfg;
+  cfg.protocol = ProtocolKind::kCommitMoonshot;
+  cfg.n = 4;
+  cfg.duration = seconds(6);
+  cfg.adversaries = {spec_of(3, "future-flood")};
+  Experiment e(cfg);
+  const ExperimentResult r = e.run();
+  EXPECT_TRUE(r.logs_consistent);
+  EXPECT_GT(r.summary.committed_blocks, 0u);
+  for (NodeId id = 0; id < 3; ++id)
+    EXPECT_GT(e.node(id).counters().vote_window_dropped, 0u) << "node " << id;
+
+  obs::Registry reg;
+  e.export_metrics(reg);
+  const std::string text = reg.prometheus_text();
+  EXPECT_NE(text.find("vote-out-of-window"), std::string::npos) << text;
 }
 
 TEST(AdversaryDetection, TimeoutEquivocationIsCountedAndExported) {

@@ -90,13 +90,13 @@ TEST_F(AccumulatorTest, PruneDropsOldViews) {
 TEST_F(AccumulatorTest, TimeoutThresholds) {
   TimeoutAccumulator acc(gen_.set, true);
   auto r = acc.add(timeout_from(0, 2));
-  EXPECT_FALSE(r.reached_f_plus_1);
+  EXPECT_EQ(r.f_plus_1_view, 0u);
   EXPECT_EQ(r.tc, nullptr);
   r = acc.add(timeout_from(1, 2));  // f+1 = 2
-  EXPECT_TRUE(r.reached_f_plus_1);
+  EXPECT_EQ(r.f_plus_1_view, 2u);
   EXPECT_EQ(r.tc, nullptr);
   r = acc.add(timeout_from(2, 2));  // quorum = 3
-  EXPECT_FALSE(r.reached_f_plus_1);  // one-shot
+  EXPECT_EQ(r.f_plus_1_view, 0u);  // one-shot
   ASSERT_NE(r.tc, nullptr);
   EXPECT_EQ(r.tc->view, 2u);
   r = acc.add(timeout_from(3, 2));
@@ -107,7 +107,7 @@ TEST_F(AccumulatorTest, TimeoutDuplicateSenderIgnored) {
   TimeoutAccumulator acc(gen_.set, true);
   acc.add(timeout_from(0, 2));
   const auto r = acc.add(timeout_from(0, 2));
-  EXPECT_FALSE(r.reached_f_plus_1);
+  EXPECT_EQ(r.f_plus_1_view, 0u);
   EXPECT_EQ(acc.count(2), 1u);
 }
 
@@ -148,7 +148,7 @@ TEST_F(AccumulatorTest, DuplicateTimeoutSkipsSignatureCheck) {
   auto replay = timeout_from(0, 2);
   replay.sig.data[0] ^= 1;
   const auto r = acc.add(replay);
-  EXPECT_FALSE(r.reached_f_plus_1);
+  EXPECT_EQ(r.f_plus_1_view, 0u);
   EXPECT_EQ(acc.count(2), 1u);
 }
 
@@ -186,7 +186,7 @@ TEST_F(AccumulatorTest, ConflictingTimeoutFirstWins) {
   const auto conflict = TimeoutMsg::make(2, 0, lock, gen_.private_keys[0],
                                          gen_.set->scheme());
   const auto r = acc.add(conflict);
-  EXPECT_FALSE(r.reached_f_plus_1);
+  EXPECT_EQ(r.f_plus_1_view, 0u);
   EXPECT_EQ(r.tc, nullptr);
   EXPECT_EQ(acc.count(2), 1u);
   EXPECT_EQ(acc.equivocations_seen(), 1u);
@@ -239,6 +239,89 @@ TEST_F(AccumulatorTest, TimeoutViewsIndependent) {
   acc.add(timeout_from(1, 3));
   EXPECT_EQ(acc.count(2), 1u);
   EXPECT_EQ(acc.count(3), 1u);
+}
+
+// --- the view window [floor, view + kViewWindow) --------------------------------
+
+TEST_F(AccumulatorTest, VoteWindowEdges) {
+  View view = 20;
+  VoteAccumulator acc(gen_.set, true, false, &view);
+  acc.prune_below(18);
+  const View top = view + kViewWindow;
+  for (const View v : {View{17}, View{18}, top - 1, top})
+    acc.add(vote_from(0, VoteKind::kNormal, v), 1);
+  EXPECT_EQ(acc.count(17, VoteKind::kNormal, block_->id()), 0u);  // floor − 1
+  EXPECT_EQ(acc.count(18, VoteKind::kNormal, block_->id()), 1u);  // floor
+  EXPECT_EQ(acc.count(top - 1, VoteKind::kNormal, block_->id()), 1u);
+  EXPECT_EQ(acc.count(top, VoteKind::kNormal, block_->id()), 0u);
+  EXPECT_EQ(acc.window_dropped(), 2u);
+  // The window's upper end follows the node's view.
+  ++view;
+  acc.add(vote_from(0, VoteKind::kNormal, top), 1);
+  EXPECT_EQ(acc.count(top, VoteKind::kNormal, block_->id()), 1u);
+  EXPECT_EQ(acc.window_dropped(), 2u);
+}
+
+TEST_F(AccumulatorTest, CommitVoteWindowEdges) {
+  // Commit votes keep 16 views below the node's view.
+  View view = 40;
+  VoteAccumulator acc(gen_.set, true, false, &view);
+  acc.prune_below(view - 16);
+  const View floor = view - 16;
+  const View top = view + kViewWindow;
+  for (NodeId id = 0; id < 3; ++id) {
+    EXPECT_EQ(acc.add(vote_from(id, VoteKind::kCommit, floor - 1), 1), nullptr);
+    EXPECT_EQ(acc.add(vote_from(id, VoteKind::kCommit, top), 1), nullptr);
+  }
+  EXPECT_EQ(acc.window_dropped(), 6u);
+  EXPECT_EQ(acc.entries(), 0u);
+  for (const View v : {floor, top - 1}) {
+    acc.add(vote_from(0, VoteKind::kCommit, v), 1);
+    acc.add(vote_from(1, VoteKind::kCommit, v), 1);
+    const QcPtr qc = acc.add(vote_from(2, VoteKind::kCommit, v), 1);
+    ASSERT_NE(qc, nullptr) << "view " << v;
+    EXPECT_EQ(qc->view, v);
+  }
+  EXPECT_EQ(acc.window_dropped(), 6u);
+}
+
+TEST_F(AccumulatorTest, TimeoutWindowEdges) {
+  View view = 20;
+  TimeoutAccumulator acc(gen_.set, true, &view);
+  acc.prune_below(18);
+  const View top = view + kViewWindow;
+  for (const View v : {View{17}, View{18}, top - 1}) {
+    EXPECT_EQ(acc.add(timeout_from(0, v)).f_plus_1_view, 0u);
+    EXPECT_EQ(acc.add(timeout_from(1, v)).f_plus_1_view, v == 17 ? 0u : v) << "view " << v;
+  }
+  EXPECT_EQ(acc.count(17), 0u);
+  EXPECT_EQ(acc.count(18), 2u);
+  EXPECT_EQ(acc.count(top - 1), 2u);
+  // Past the window only each sender's view is kept, and f+1 of them still
+  // trigger the amplification.
+  EXPECT_EQ(acc.add(timeout_from(0, top)).f_plus_1_view, 0u);
+  EXPECT_EQ(acc.add(timeout_from(1, top)).f_plus_1_view, top);
+  EXPECT_EQ(acc.count(top), 0u);
+  EXPECT_EQ(acc.add(timeout_from(2, top)).tc, nullptr);
+}
+
+TEST_F(AccumulatorTest, TimeoutsPastTheWindowKeepEachSendersHighestView) {
+  TimeoutAccumulator acc(gen_.set, true);  // window [0, kViewWindow)
+  const View far = 3 * kViewWindow;
+  EXPECT_EQ(acc.add(timeout_from(0, far + 10)).f_plus_1_view, 0u);
+  EXPECT_EQ(acc.add(timeout_from(0, far)).f_plus_1_view, 0u);  // lower: ignored
+  EXPECT_EQ(acc.entries(), 1u);
+  // f+1 = 2 senders: the amplification view is the lower of the two highest.
+  EXPECT_EQ(acc.add(timeout_from(1, far + 5)).f_plus_1_view, far + 5);
+  EXPECT_EQ(acc.add(timeout_from(1, far + 20)).f_plus_1_view, far + 10);
+  EXPECT_EQ(acc.add(timeout_from(0, far + 15)).f_plus_1_view, far + 15);
+  EXPECT_EQ(acc.add(timeout_from(0, far + 15)).f_plus_1_view, 0u);  // re-send
+  // A forged timeout does not displace the sender's view.
+  auto forged = timeout_from(0, far + 30);
+  forged.sig.data[0] ^= 1;
+  EXPECT_EQ(acc.add(forged).f_plus_1_view, 0u);
+  EXPECT_EQ(acc.add(timeout_from(2, far + 16)).f_plus_1_view, far + 16);
+  EXPECT_EQ(acc.entries(), 3u);
 }
 
 }  // namespace

@@ -87,6 +87,8 @@ std::string read_file(const std::string& path) {
 
 void check_against_golden(const std::string& got, const std::string& path) {
   ASSERT_FALSE(got.empty());
+  // Every span starts inside its view's root, so no DOT offset is negative.
+  EXPECT_EQ(got.find("+-"), std::string::npos) << "negative span offset";
   if (std::getenv("MOONSHOT_UPDATE_GOLDEN")) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << "cannot write " << path;

@@ -5,6 +5,7 @@
 
 #include "crypto/sha256.hpp"
 #include "crypto/signature.hpp"
+#include "harness/experiment.hpp"
 #include "types/certs.hpp"
 #include "types/validator_set.hpp"
 
@@ -151,6 +152,25 @@ TEST_F(CertCacheFixture, TamperedTcEntryRejected) {
   CertVerifyCache cache;
   EXPECT_FALSE(forged.validate(*gen.set, true, &cache));
   EXPECT_FALSE(cache.contains(forged.cache_key(*gen.set)));
+}
+
+// The cache pays off in a real world: with verification on and a third of
+// the nodes crashed, the WJ schedule's timeout rounds carry the same locks
+// in many timeouts and TCs, so nodes see certificates they already checked.
+TEST(CertVerifyCacheWorld, VerifyingWjWorldWithCrashedNodesHitsTheCache) {
+  ExperimentConfig cfg;
+  cfg.protocol = ProtocolKind::kPipelinedMoonshot;
+  cfg.n = 31;
+  cfg.crashed = 10;
+  cfg.schedule = ScheduleKind::kWJ;
+  cfg.verify_signatures = true;
+  cfg.duration = seconds(10);
+  Experiment e(cfg);
+  const ExperimentResult r = e.run();
+  EXPECT_GT(r.summary.committed_blocks, 0u);
+  std::uint64_t hits = 0;
+  for (NodeId id = 0; id < cfg.n - cfg.crashed; ++id) hits += e.node(id).counters().cert_cache_hits;
+  EXPECT_GT(hits, 0u);
 }
 
 }  // namespace

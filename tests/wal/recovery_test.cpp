@@ -120,11 +120,11 @@ TEST_F(ResendRegression, DuplicateTimeoutsCountOnce) {
   const auto tm = [&](NodeId id) {
     return TimeoutMsg::make(1, id, nullptr, gen_.private_keys[id], gen_.set->scheme());
   };
-  EXPECT_FALSE(acc.add(tm(0)).reached_f_plus_1);
-  EXPECT_FALSE(acc.add(tm(0)).reached_f_plus_1);  // recovered re-send
+  EXPECT_EQ(acc.add(tm(0)).f_plus_1_view, 0u);
+  EXPECT_EQ(acc.add(tm(0)).f_plus_1_view, 0u);  // recovered re-send
   EXPECT_EQ(acc.count(1), 1u);
   // f+1 = 2 distinct senders; the duplicate must not have tripped it.
-  EXPECT_TRUE(acc.add(tm(1)).reached_f_plus_1);
+  EXPECT_EQ(acc.add(tm(1)).f_plus_1_view, 1u);
   EXPECT_EQ(acc.count(1), 2u);
   // The quorum TC (3 distinct of 4) likewise needs a third *distinct* sender.
   EXPECT_NE(acc.add(tm(2)).tc, nullptr);
