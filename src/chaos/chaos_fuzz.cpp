@@ -50,7 +50,8 @@ struct Options {
   std::int64_t delta_ms = 500;
   std::size_t max_events = 6;
   std::string schedule;  // replay mode when non-empty
-  /// Write a flight recording (obs/flight.hpp) here when a run fails.
+  /// Write a flight recording (obs/flight.hpp) here, and its rendered
+  /// postmortem to the .txt sibling, when a run fails.
   std::string flight;
   bool smoke = false;
   bool inject_bug = false;
@@ -79,7 +80,8 @@ struct Options {
                "                  [--n N] [--duration-ms N] [--delta-ms N]\n"
                "                  [--max-events N] [--schedule STR] [--smoke]\n"
                "                  [--inject-bug] [--crash-heavy] [--fsync-us N]\n"
-               "                  [--flight PATH]\n"
+               "                  [--flight PATH]  (on failure: JSON recording at PATH,\n"
+               "                                    rendered postmortem at its .txt sibling)\n"
                "                  [--adversary N] [--adversary-strategies s1,s2,...]\n"
                "                  [--latency-oracle] [--adversary-smoke] [--jobs N|auto]\n");
   std::exit(2);

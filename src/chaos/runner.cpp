@@ -1,6 +1,7 @@
 #include "chaos/runner.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 
@@ -228,7 +229,8 @@ ChaosReport run_chaos(const ChaosRunConfig& cfg) {
           << cfg.schedule.to_string() << "'";
     if (cfg.inject_bug) repro << " --inject-bug";
     fctx.repro = repro.str();
-    obs::write_flight_recording(cfg.flight_path, fctx, tracer, &reg);
+    if (!obs::write_flight_recording(cfg.flight_path, fctx, tracer, &reg))
+      std::fprintf(stderr, "flight: cannot write %s\n", cfg.flight_path.c_str());
   }
   return report;
 }

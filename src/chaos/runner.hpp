@@ -69,10 +69,11 @@ struct ChaosRunConfig {
   Duration oracle_hop = Duration(0);
   /// When non-empty and any oracle latches, a flight recording (metrics,
   /// span tail, critical paths, event tail, replay command — see
-  /// obs/flight.hpp) is written here. If no tracer was supplied, the run
-  /// gets a private one so the recording has events to dump; the private
-  /// tracer is *not* folded into the determinism digest, so recordings can
-  /// be toggled without perturbing replay verification.
+  /// obs/flight.hpp) is written here, its rendered postmortem to the .txt
+  /// sibling. If no tracer was supplied, the run gets a private one so the
+  /// recording has events to dump; the private tracer is *not* folded into
+  /// the determinism digest, so recordings can be toggled without perturbing
+  /// replay verification.
   std::string flight_path;
 };
 

@@ -741,7 +741,8 @@ Violation replay(const McConfig& cfg, const chaos::FaultSchedule& schedule) {
       repro << " --mutation " << mutation_name(cfg.mutation);
     }
     fctx.repro = repro.str();
-    obs::write_flight_recording(cfg.flight_path, fctx, &run.tracer(), &reg);
+    if (!obs::write_flight_recording(cfg.flight_path, fctx, &run.tracer(), &reg))
+      std::fprintf(stderr, "flight: cannot write %s\n", cfg.flight_path.c_str());
   };
   for (const chaos::FaultEvent& e : schedule.events) {
     if (e.type != chaos::FaultType::kMcChoice) continue;

@@ -83,8 +83,9 @@ struct McConfig {
   /// builds only; must be kNone when MOONSHOT_MUTATIONS is off).
   Mutation mutation = Mutation::kNone;
   /// When non-empty, replay() writes a flight recording (obs/flight.hpp)
-  /// here if the replayed schedule produces a violation. Shrinking clears it
-  /// for its oracle calls so only the final replay emits a recording.
+  /// here, and its rendered postmortem to the .txt sibling, if the replayed
+  /// schedule produces a violation. Shrinking clears it for its oracle calls
+  /// so only the final replay emits a recording.
   std::string flight_path;
   /// Worker lanes for exploration (exec/world_runner.hpp); 0 behaves like 1.
   /// The result is a pure function of the rest of the config — byte-identical

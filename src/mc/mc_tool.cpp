@@ -48,7 +48,8 @@ int usage(const char* argv0) {
       << "                    lines from speculative traces may differ)\n"
       << "  --replay FILE     replay a counterexample schedule instead of exploring\n"
       << "  --cex FILE        write the (shrunk) counterexample schedule to FILE\n"
-      << "  --flight FILE     write a flight recording (postmortem) on violation\n"
+      << "  --flight FILE     on violation write a flight recording (JSON) to FILE\n"
+      << "                    and its rendered postmortem to FILE's .txt sibling\n"
       << "  --list-mutations  print the mutation catalogue and exit\n";
   return 2;
 }

@@ -1,8 +1,7 @@
 #include "obs/flight.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
+#include <chrono>
+#include <string_view>
 
 #include "obs/critpath.hpp"
 #include "obs/export.hpp"
@@ -53,14 +52,39 @@ void write_lines_as_array(std::FILE* f, const std::string& jsonl) {
   if (!first) std::fputc('\n', f);
 }
 
-}  // namespace
+// Everything both renderings read, computed once from the tracer.
+struct Snapshot {
+  bool analysed = false;  // lifecycle analyses ran (events and nodes present)
+  LifecycleIndex index;
+  CritPathReport report;
+  std::vector<Span> spans;    // tail of the span graph
+  std::vector<Event> events;  // tail of the merged stream
+};
 
-bool write_flight_recording(const std::string& path, const FlightContext& ctx,
-                            const Tracer* tracer, const Registry* registry,
-                            const FlightConfig& cfg) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
+Snapshot take_snapshot(const FlightContext& ctx, const Tracer* tracer,
+                       const FlightConfig& cfg) {
+  Snapshot s;
+  if (tracer == nullptr) return s;
+  const std::vector<Event> merged = tracer->merged();
+  const std::size_t first_event =
+      merged.size() > cfg.max_events ? merged.size() - cfg.max_events : 0;
+  s.events.assign(merged.begin() + static_cast<std::ptrdiff_t>(first_event),
+                  merged.end());
+  s.analysed = !merged.empty() && ctx.nodes > 0;
+  if (!s.analysed) return s;
+  s.index = build_lifecycle_index(merged, ctx.nodes);
+  s.report = analyze_critical_path(s.index, /*observer=*/0);
+  const SpanGraph g = build_span_graph(s.index);
+  const std::size_t first_span =
+      g.spans.size() > cfg.max_spans ? g.spans.size() - cfg.max_spans : 0;
+  s.spans.assign(g.spans.begin() + static_cast<std::ptrdiff_t>(first_span),
+                 g.spans.end());
+  return s;
+}
 
+// The moonshot-flight-v1 document.
+void write_json(std::FILE* f, const FlightContext& ctx, const Registry* registry,
+                const Snapshot& s) {
   std::fprintf(f, "{\n  \"format\": \"moonshot-flight-v1\",\n");
   std::fprintf(f, "  \"reason\": \"%s\",\n", escape(ctx.reason).c_str());
   std::fprintf(f, "  \"protocol\": \"%s\",\n", escape(ctx.protocol).c_str());
@@ -84,373 +108,127 @@ bool write_flight_recording(const std::string& path, const FlightContext& ctx,
   if (registry != nullptr) write_lines_as_array(f, registry->snapshot_jsonl());
   std::fputs("  ],\n", f);
 
-  std::vector<Event> merged;
-  if (tracer != nullptr) merged = tracer->merged();
-  const bool analyse = !merged.empty() && ctx.nodes > 0;
-  const LifecycleIndex index =
-      analyse ? build_lifecycle_index(merged, ctx.nodes) : LifecycleIndex{};
-
   std::fputs("  \"critpath\": [\n", f);
-  if (analyse) {
-    const CritPathReport report = analyze_critical_path(index, /*observer=*/0);
-    bool first = true;
-    for (const BlockPath& p : report.blocks) {
+  bool first = true;
+  for (const BlockPath& p : s.report.blocks) {
+    std::fprintf(f,
+                 "%s    {\"view\":%llu,\"height\":%llu,\"latency_ms\":%.3f,"
+                 "\"complete\":%s,\"timeout\":%s,\"segments\":[",
+                 first ? "" : ",\n",
+                 static_cast<unsigned long long>(p.view),
+                 static_cast<unsigned long long>(p.height),
+                 to_ms(p.latency()), p.complete ? "true" : "false",
+                 p.timeout_on_path ? "true" : "false");
+    first = false;
+    for (std::size_t i = 0; i < p.segments.size(); ++i) {
+      const Segment& seg = p.segments[i];
       std::fprintf(f,
-                   "%s    {\"view\":%llu,\"height\":%llu,\"latency_ms\":%.3f,"
-                   "\"complete\":%s,\"timeout\":%s,\"segments\":[",
-                   first ? "" : ",\n",
-                   static_cast<unsigned long long>(p.view),
-                   static_cast<unsigned long long>(p.height),
-                   to_ms(p.latency()), p.complete ? "true" : "false",
-                   p.timeout_on_path ? "true" : "false");
-      first = false;
-      for (std::size_t i = 0; i < p.segments.size(); ++i) {
-        const Segment& s = p.segments[i];
-        std::fprintf(f,
-                     "%s{\"kind\":\"%s\",\"view\":%llu,\"from\":%d,\"to\":%d,"
-                     "\"ms\":%.3f}",
-                     i == 0 ? "" : ",", segment_kind_name(s.kind),
-                     static_cast<unsigned long long>(s.view),
-                     s.from == kNoNode ? -1 : static_cast<int>(s.from),
-                     s.to == kNoNode ? -1 : static_cast<int>(s.to),
-                     to_ms(s.duration()));
-      }
-      std::fputs("]}", f);
+                   "%s{\"kind\":\"%s\",\"view\":%llu,\"from\":%d,\"to\":%d,"
+                   "\"ms\":%.3f}",
+                   i == 0 ? "" : ",", segment_kind_name(seg.kind),
+                   static_cast<unsigned long long>(seg.view),
+                   seg.from == kNoNode ? -1 : static_cast<int>(seg.from),
+                   seg.to == kNoNode ? -1 : static_cast<int>(seg.to),
+                   to_ms(seg.duration()));
     }
-    if (!first) std::fputc('\n', f);
+    std::fputs("]}", f);
   }
+  if (!first) std::fputc('\n', f);
   std::fputs("  ],\n", f);
 
   std::fputs("  \"spans\": [\n", f);
-  if (analyse) {
-    const SpanGraph g = build_span_graph(index);
-    const std::size_t begin =
-        g.spans.size() > cfg.max_spans ? g.spans.size() - cfg.max_spans : 0;
-    for (std::size_t i = begin; i < g.spans.size(); ++i) {
-      const Span& s = g.spans[i];
-      std::fprintf(f,
-                   "%s    {\"id\":%d,\"parent\":%d,\"kind\":\"%s\","
-                   "\"view\":%llu,\"node\":%d,\"peer\":%d,\"start\":%lld,"
-                   "\"end\":%lld,\"detail\":%llu}",
-                   i == begin ? "" : ",\n", s.id, s.parent,
-                   span_kind_name(s.kind),
-                   static_cast<unsigned long long>(s.view),
-                   s.node == kNoNode ? -1 : static_cast<int>(s.node),
-                   s.peer == kNoNode ? -1 : static_cast<int>(s.peer),
-                   static_cast<long long>(s.start.ns),
-                   static_cast<long long>(s.end.ns),
-                   static_cast<unsigned long long>(s.detail));
-    }
-    if (begin < g.spans.size()) std::fputc('\n', f);
+  for (std::size_t i = 0; i < s.spans.size(); ++i) {
+    const Span& sp = s.spans[i];
+    std::fprintf(f,
+                 "%s    {\"id\":%d,\"parent\":%d,\"kind\":\"%s\","
+                 "\"view\":%llu,\"node\":%d,\"peer\":%d,\"start\":%lld,"
+                 "\"end\":%lld,\"detail\":%llu}",
+                 i == 0 ? "" : ",\n", sp.id, sp.parent, span_kind_name(sp.kind),
+                 static_cast<unsigned long long>(sp.view),
+                 sp.node == kNoNode ? -1 : static_cast<int>(sp.node),
+                 sp.peer == kNoNode ? -1 : static_cast<int>(sp.peer),
+                 static_cast<long long>(sp.start.ns),
+                 static_cast<long long>(sp.end.ns),
+                 static_cast<unsigned long long>(sp.detail));
   }
+  if (!s.spans.empty()) std::fputc('\n', f);
   std::fputs("  ],\n", f);
 
   std::fputs("  \"events\": [\n", f);
-  if (!merged.empty()) {
-    const std::size_t begin =
-        merged.size() > cfg.max_events ? merged.size() - cfg.max_events : 0;
-    const std::vector<Event> tail(merged.begin() +
-                                      static_cast<std::ptrdiff_t>(begin),
-                                  merged.end());
-    write_lines_as_array(f, to_jsonl(tail));
-  }
+  if (!s.events.empty()) write_lines_as_array(f, to_jsonl(s.events));
   std::fputs("  ]\n}\n", f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
-// ---------------------------------------------------------------------------
-// Rendering: a minimal recursive-descent JSON reader (we only ever parse our
-// own writer's output, but it accepts any well-formed document).
-
-namespace {
-
-struct Json {
-  enum Type { kNull, kBool, kNum, kStr, kArr, kObj } type = kNull;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
-
-  const Json* get(const char* key) const {
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  double num_or(const char* key, double fallback) const {
-    const Json* j = get(key);
-    return j != nullptr && j->type == kNum ? j->num : fallback;
-  }
-  std::string str_or(const char* key, const std::string& fallback) const {
-    const Json* j = get(key);
-    return j != nullptr && j->type == kStr ? j->str : fallback;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  bool parse(Json& out) { return value(out) && (skip_ws(), pos_ == s_.size()); }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-  bool literal(const char* lit) {
-    const std::size_t len = std::strlen(lit);
-    if (s_.compare(pos_, len, lit) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-  bool string(std::string& out) {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < s_.size()) {
-      char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) return false;
-          const long cp = std::strtol(s_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          out += cp < 0x80 ? static_cast<char>(cp) : '?';
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;
-  }
-  bool value(Json& out) {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.type = Json::kObj;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string(key)) return false;
-        skip_ws();
-        if (pos_ >= s_.size() || s_[pos_++] != ':') return false;
-        Json v;
-        if (!value(v)) return false;
-        out.obj.emplace_back(std::move(key), std::move(v));
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.type = Json::kArr;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        Json v;
-        if (!value(v)) return false;
-        out.arr.push_back(std::move(v));
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') {
-      out.type = Json::kStr;
-      return string(out.str);
-    }
-    if (c == 't') {
-      out.type = Json::kBool;
-      out.boolean = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.type = Json::kBool;
-      out.boolean = false;
-      return literal("false");
-    }
-    if (c == 'n') {
-      out.type = Json::kNull;
-      return literal("null");
-    }
-    char* end = nullptr;
-    out.type = Json::kNum;
-    out.num = std::strtod(s_.c_str() + pos_, &end);
-    if (end == s_.c_str() + pos_) return false;
-    pos_ = static_cast<std::size_t>(end - s_.c_str());
-    return true;
+// The postmortem for humans, built from the repo's existing printers.
+void write_text(std::FILE* f, const std::string& json_name,
+                const FlightContext& ctx, const Registry* registry,
+                const Snapshot& s) {
+  std::fprintf(f, "=== flight recording: %s ===\n", json_name.c_str());
+  std::fprintf(f, "reason:   %s\n", ctx.reason.c_str());
+  std::fprintf(f, "run:      protocol %s, n=%zu, seed %llu, delta %.1fms\n",
+               ctx.protocol.c_str(), ctx.nodes,
+               static_cast<unsigned long long>(ctx.seed), ctx.delta_ms);
+  std::fprintf(f, "trigger:  t=%.3fms (%lldns)\n",
+               static_cast<double>(ctx.trigger.ns) / 1e6,
+               static_cast<long long>(ctx.trigger.ns));
+  if (!ctx.schedule.empty()) std::fprintf(f, "schedule: %s\n", ctx.schedule.c_str());
+  if (!ctx.repro.empty()) std::fprintf(f, "repro:    %s\n", ctx.repro.c_str());
+  if (!ctx.violations.empty()) {
+    std::fprintf(f, "violations (%zu):\n", ctx.violations.size());
+    for (const std::string& v : ctx.violations) std::fprintf(f, "  - %s\n", v.c_str());
   }
 
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+  if (registry != nullptr) {
+    std::fputs("--- metrics ---\n", f);
+    std::fputs(registry->prometheus_text().c_str(), f);
+  }
+  if (s.analysed) {
+    const auto delta = std::chrono::duration_cast<Duration>(
+        std::chrono::duration<double, std::milli>(ctx.delta_ms));
+    print_critpath(s.report, delta, f);
+  }
+  std::fprintf(f, "spans captured: %zu\n", s.spans.size());
+
+  constexpr std::size_t kTextEvents = 20;
+  if (!s.events.empty()) {
+    const std::size_t n = s.events.size();
+    const std::size_t begin = n > kTextEvents ? n - kTextEvents : 0;
+    std::fprintf(f, "event tail (last %zu of %zu):\n", n - begin, n);
+    const std::vector<Event> last(
+        s.events.begin() + static_cast<std::ptrdiff_t>(begin), s.events.end());
+    print_timeline(last, s.index, f);
+  }
+}
+
+// Opens `path`, hands it to `render` and closes it; false on any I/O error.
+template <typename Render>
+bool write_file(const std::string& path, Render&& render) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  render(f);
+  const bool ok = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && ok;
+}
 
 }  // namespace
 
-bool print_flight_recording(const std::string& path, std::FILE* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(out, "flight: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
+std::string flight_text_path(const std::string& path) {
+  constexpr std::string_view kJson = ".json";
+  if (path.ends_with(kJson)) return path.substr(0, path.size() - kJson.size()) + ".txt";
+  return path + ".txt";
+}
 
-  Json doc;
-  if (!Parser(text).parse(doc) || doc.type != Json::kObj ||
-      doc.str_or("format", "") != "moonshot-flight-v1") {
-    std::fprintf(out, "flight: %s is not a moonshot-flight-v1 recording\n",
-                 path.c_str());
-    return false;
-  }
-
-  std::fprintf(out, "=== flight recording: %s ===\n", path.c_str());
-  std::fprintf(out, "reason:   %s\n", doc.str_or("reason", "?").c_str());
-  std::fprintf(out, "run:      protocol %s, n=%d, seed %llu, delta %.1fms\n",
-               doc.str_or("protocol", "?").c_str(),
-               static_cast<int>(doc.num_or("n", 0)),
-               static_cast<unsigned long long>(doc.num_or("seed", 0)),
-               doc.num_or("delta_ms", 0));
-  std::fprintf(out, "trigger:  t=%.3fms\n", doc.num_or("trigger_t", 0) / 1e6);
-  const std::string schedule = doc.str_or("schedule", "");
-  if (!schedule.empty()) std::fprintf(out, "schedule: %s\n", schedule.c_str());
-  const std::string repro = doc.str_or("repro", "");
-  if (!repro.empty()) std::fprintf(out, "repro:    %s\n", repro.c_str());
-
-  if (const Json* v = doc.get("violations");
-      v != nullptr && !v->arr.empty()) {
-    std::fprintf(out, "violations (%zu):\n", v->arr.size());
-    for (const Json& item : v->arr)
-      std::fprintf(out, "  - %s\n", item.str.c_str());
-  }
-
-  if (const Json* m = doc.get("metrics"); m != nullptr && !m->arr.empty()) {
-    std::fprintf(out, "metrics (%zu series):\n", m->arr.size());
-    std::size_t shown = 0;
-    for (const Json& item : m->arr) {
-      if (shown == 40) {
-        std::fprintf(out, "  ... (%zu more)\n", m->arr.size() - shown);
-        break;
-      }
-      std::string labels;
-      if (const Json* l = item.get("labels");
-          l != nullptr && !l->obj.empty()) {
-        labels += '{';
-        for (std::size_t i = 0; i < l->obj.size(); ++i) {
-          if (i != 0) labels += ',';
-          labels += l->obj[i].first + "=" + l->obj[i].second.str;
-        }
-        labels += '}';
-      }
-      const std::string type = item.str_or("type", "");
-      if (type == "histogram") {
-        std::fprintf(out, "  %-40s count=%.0f p50=%.3fms p99=%.3fms\n",
-                     (item.str_or("name", "?") + labels).c_str(),
-                     item.num_or("count", 0), item.num_or("p50", 0) / 1e6,
-                     item.num_or("p99", 0) / 1e6);
-      } else {
-        std::fprintf(out, "  %-40s %g\n",
-                     (item.str_or("name", "?") + labels).c_str(),
-                     item.num_or("value", 0));
-      }
-      ++shown;
-    }
-  }
-
-  if (const Json* cp = doc.get("critpath"); cp != nullptr && !cp->arr.empty()) {
-    std::fprintf(out, "critical path (%zu committed blocks):\n",
-                 cp->arr.size());
-    for (const Json& b : cp->arr) {
-      std::fprintf(out, "  view %-5.0f %8.1fms %s",
-                   b.num_or("view", 0), b.num_or("latency_ms", 0),
-                   b.get("timeout") != nullptr && b.get("timeout")->boolean
-                       ? "[timeout]"
-                       : "");
-      if (const Json* segs = b.get("segments"); segs != nullptr) {
-        std::size_t shown = 0;
-        for (const Json& s : segs->arr) {
-          if (s.num_or("ms", 0) <= 0.0) continue;
-          if (shown++ == 4) {
-            std::fputs(" | ...", out);
-            break;
-          }
-          std::fprintf(out, " | %s %.1fms", s.str_or("kind", "?").c_str(),
-                       s.num_or("ms", 0));
-        }
-      }
-      std::fputc('\n', out);
-    }
-  }
-
-  if (const Json* spans = doc.get("spans"); spans != nullptr)
-    std::fprintf(out, "spans captured: %zu\n", spans->arr.size());
-
-  if (const Json* ev = doc.get("events"); ev != nullptr && !ev->arr.empty()) {
-    const std::size_t n = ev->arr.size();
-    const std::size_t begin = n > 20 ? n - 20 : 0;
-    std::fprintf(out, "event tail (last %zu of %zu):\n", n - begin, n);
-    for (std::size_t i = begin; i < n; ++i) {
-      const Json& e = ev->arr[i];
-      const int node = static_cast<int>(e.num_or("node", -1));
-      char who[16];
-      if (node < 0)
-        std::snprintf(who, sizeof who, "env");
-      else
-        std::snprintf(who, sizeof who, "n%d", node);
-      std::fprintf(out, "  %12.3fms %-4s %-18s v=%.0f a=%.0f b=%.0f c=%.0f\n",
-                   e.num_or("t", 0) / 1e6, who,
-                   e.str_or("kind", "?").c_str(), e.num_or("view", 0),
-                   e.num_or("a", 0), e.num_or("b", 0), e.num_or("c", 0));
-    }
-  }
-  return true;
+bool write_flight_recording(const std::string& path, const FlightContext& ctx,
+                            const Tracer* tracer, const Registry* registry,
+                            const FlightConfig& cfg) {
+  const Snapshot s = take_snapshot(ctx, tracer, cfg);
+  const bool json_ok =
+      write_file(path, [&](std::FILE* f) { write_json(f, ctx, registry, s); });
+  const std::string json_name = path.substr(path.find_last_of('/') + 1);
+  const bool text_ok = write_file(flight_text_path(path), [&](std::FILE* f) {
+    write_text(f, json_name, ctx, registry, s);
+  });
+  return json_ok && text_ok;
 }
 
 }  // namespace moonshot::obs

@@ -2,15 +2,16 @@
 //
 // When a chaos or model-checking oracle latches (safety fork, liveness
 // stall, conformance breach), the run's observability state is about to be
-// torn down with the process — this module snapshots it first. A recording
-// is one self-contained JSON document holding the failure reason, a
-// replayable reproducer command, the registry's metrics, the tail of the
-// merged event stream, the last-N lifecycle spans, and the critical-path
-// attribution of every block that still committed. `trace_tool flight
-// <file>` renders it; nothing else is needed to start a postmortem.
+// torn down with the process — this module snapshots it first, as two
+// sibling files. The JSON one is the machine-readable record
+// (moonshot-flight-v1): the failure reason, a replayable reproducer command,
+// the registry's metrics, the tail of the merged event stream, the last-N
+// lifecycle spans, and the critical-path attribution of every block that
+// still committed. The text one is the postmortem for humans, rendered from
+// the same in-memory state by the critpath, timeline and Prometheus
+// printers; nothing else is needed to start a postmortem.
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -37,14 +38,16 @@ struct FlightConfig {
   std::size_t max_spans = 256;    // tail of the span graph
 };
 
-/// Writes the recording; returns false on I/O failure. `tracer` and
-/// `registry` may be null — the corresponding sections are emitted empty.
+/// The text sibling of a JSON recording path: a trailing ".json" becomes
+/// ".txt"; any other path gets ".txt" appended.
+std::string flight_text_path(const std::string& path);
+
+/// Writes the JSON recording to `path` and the rendered postmortem to
+/// flight_text_path(path); returns false when either file cannot be written.
+/// `tracer` and `registry` may be null — the corresponding sections are
+/// emitted empty.
 bool write_flight_recording(const std::string& path, const FlightContext& ctx,
                             const Tracer* tracer, const Registry* registry,
                             const FlightConfig& cfg = {});
-
-/// Renders a recording for humans; returns false when the file is missing
-/// or not a moonshot-flight-v1 document.
-bool print_flight_recording(const std::string& path, std::FILE* out);
 
 }  // namespace moonshot::obs

@@ -12,13 +12,11 @@
 //   trace_tool --prom out.prom               Prometheus text exposition
 //   trace_tool --metrics-jsonl out.jsonl     periodic registry snapshots
 //
-// Subcommands (before any flags):
+// Subcommand (before any flags):
 //   trace_tool critpath [run flags] [--dot g.dot] [--check-bounds]
 //       per-block critical-path attribution of commit latency; --check-bounds
 //       compares each block's λ against the paper's cδ·δ + cω·ω bound and
 //       exits non-zero on violations; --dot writes the causal span graph.
-//   trace_tool flight <file>
-//       render a flight recording written by chaos_fuzz/mc_explore --flight.
 //
 // Without a subcommand the latency summary is printed: the block period ω
 // and commit latency λ as δ-multiples next to the paper's targets (ω = δ,
@@ -37,7 +35,6 @@
 #include "harness/experiment.hpp"
 #include "obs/critpath.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -79,7 +76,7 @@ struct Options {
 [[noreturn]] void usage_error(const char* what) {
   std::fprintf(stderr, "trace_tool: %s\n", what);
   std::fprintf(stderr,
-               "usage: trace_tool [critpath|flight FILE] [--protocol sm|pm|cm|j|hs]\n"
+               "usage: trace_tool [critpath] [--protocol sm|pm|cm|j|hs]\n"
                "                  [--seed N] [--n N]\n"
                "                  [--duration-ms N] [--delta-ms N] [--payload BYTES]\n"
                "                  [--fixed-delay-ms N] [--schedule STR] [--observer N]\n"
@@ -166,10 +163,6 @@ void write_text(const std::string& path, const std::string& text) {
 
 int main(int argc, char** argv) {
   bool critpath_mode = false;
-  if (argc > 1 && std::strcmp(argv[1], "flight") == 0) {
-    if (argc != 3) usage_error("flight takes exactly one recording file");
-    return obs::print_flight_recording(argv[2], stdout) ? 0 : 1;
-  }
   if (argc > 1 && std::strcmp(argv[1], "critpath") == 0) {
     critpath_mode = true;
     --argc;

@@ -1,7 +1,7 @@
-// Flight recorder: write → parse → render roundtrip, plus a golden file
-// pinning the moonshot-flight-v1 document format. The recording is produced
-// from a small deterministic traced run, so the golden is byte-stable across
-// machines; regenerate deliberately with MOONSHOT_UPDATE_GOLDEN=1.
+// Flight recorder: the JSON record and its rendered text sibling, plus golden
+// files pinning both. The recording is produced from a small deterministic
+// traced run, so the goldens are byte-stable across machines; regenerate
+// deliberately with MOONSHOT_UPDATE_GOLDEN=1.
 #include "obs/flight.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "harness/experiment.hpp"
 #include "obs/registry.hpp"
@@ -22,6 +23,7 @@ namespace {
 #endif
 
 constexpr const char* kGoldenFlight = MOONSHOT_OBS_TEST_DIR "/golden/flight.json";
+constexpr const char* kGoldenFlightText = MOONSHOT_OBS_TEST_DIR "/golden/flight.txt";
 
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -32,29 +34,6 @@ std::string read_file(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
   std::fclose(f);
   return out;
-}
-
-std::string write_file(const std::string& name, const std::string& content) {
-  const std::string path = testing::TempDir() + name;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_NE(f, nullptr);
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return path;
-}
-
-// Renders `path` through print_flight_recording into a string.
-std::pair<bool, std::string> render(const std::string& path) {
-  std::FILE* f = std::tmpfile();
-  EXPECT_NE(f, nullptr);
-  const bool ok = obs::print_flight_recording(path, f);
-  std::fflush(f);
-  const long size = std::ftell(f);
-  std::rewind(f);
-  std::string out(static_cast<std::size_t>(size), '\0');
-  EXPECT_EQ(std::fread(out.data(), 1, out.size(), f), out.size());
-  std::fclose(f);
-  return {ok, out};
 }
 
 // A short deterministic traced run: enough views for spans and a critical
@@ -89,7 +68,7 @@ obs::FlightContext make_context() {
   return ctx;
 }
 
-TEST(Flight, WriteParseRenderRoundtrip) {
+TEST(Flight, WriteRendersTextPostmortem) {
   obs::Tracer tracer(4);
   run_traced(tracer);
   obs::Registry reg;
@@ -102,19 +81,47 @@ TEST(Flight, WriteParseRenderRoundtrip) {
   const std::string path = testing::TempDir() + "flight_roundtrip.json";
   ASSERT_TRUE(obs::write_flight_recording(path, make_context(), &tracer, &reg));
 
-  const auto [ok, text] = render(path);
-  EXPECT_TRUE(ok);
+  const std::string text_path = obs::flight_text_path(path);
+  const std::string text = read_file(text_path);
   EXPECT_NE(text.find("safety: commit fork at height 3"), std::string::npos);
   EXPECT_NE(text.find("protocol pm, n=4, seed 1, delta 200.0ms"),
             std::string::npos);
   EXPECT_NE(text.find("schedule: part(200-600;1)"), std::string::npos);
   EXPECT_NE(text.find("violations (2):"), std::string::npos);
   EXPECT_NE(text.find("node 2 voted twice in view 5"), std::string::npos);
-  EXPECT_NE(text.find("view_change_total{protocol=pm}"), std::string::npos);
+  EXPECT_NE(text.find("view_change_total{protocol=\"pm\"} 2"), std::string::npos);
   EXPECT_NE(text.find("critical path ("), std::string::npos);
   EXPECT_NE(text.find("spans captured:"), std::string::npos);
   EXPECT_NE(text.find("event tail (last 20 of"), std::string::npos);
   std::remove(path.c_str());
+  std::remove(text_path.c_str());
+}
+
+TEST(Flight, RenderedTextKeepsFullSeed) {
+  // 2^53 + 1 has no exact double: the text must print the integers as such.
+  obs::FlightContext ctx = make_context();
+  ctx.seed = 9007199254740993ULL;
+  ctx.trigger = TimePoint{(std::int64_t{1} << 53) + 1};
+  const std::string path = testing::TempDir() + "flight_seed.json";
+  ASSERT_TRUE(obs::write_flight_recording(path, ctx, nullptr, nullptr));
+  const std::string text_path = obs::flight_text_path(path);
+  const std::string text = read_file(text_path);
+  EXPECT_NE(text.find("seed 9007199254740993,"), std::string::npos) << text;
+  EXPECT_NE(text.find("(9007199254740993ns)"), std::string::npos) << text;
+  std::remove(path.c_str());
+  std::remove(text_path.c_str());
+}
+
+TEST(Flight, TextPathReplacesTrailingJsonSuffix) {
+  EXPECT_EQ(obs::flight_text_path("out/flight.json"), "out/flight.txt");
+  EXPECT_EQ(obs::flight_text_path("flight"), "flight.txt");
+  EXPECT_EQ(obs::flight_text_path("flight.json.bak"), "flight.json.bak.txt");
+}
+
+TEST(Flight, UnwritablePathReturnsFalse) {
+  EXPECT_FALSE(obs::write_flight_recording(
+      testing::TempDir() + "no-such-dir/flight.json", make_context(), nullptr,
+      nullptr));
 }
 
 TEST(Flight, NullTracerAndRegistryEmitEmptySections) {
@@ -123,11 +130,15 @@ TEST(Flight, NullTracerAndRegistryEmitEmptySections) {
   const std::string doc = read_file(path);
   EXPECT_NE(doc.find("\"metrics\": [\n  ]"), std::string::npos);
   EXPECT_NE(doc.find("\"events\": [\n  ]"), std::string::npos);
-  const auto [ok, text] = render(path);
-  EXPECT_TRUE(ok);  // an empty recording still renders its header
+  const std::string text_path = obs::flight_text_path(path);
+  const std::string text = read_file(text_path);
+  // An empty recording still renders its header.
   EXPECT_NE(text.find("reason:   safety: commit fork at height 3"),
             std::string::npos);
+  EXPECT_EQ(text.find("--- metrics"), std::string::npos);
+  EXPECT_EQ(text.find("event tail"), std::string::npos);
   std::remove(path.c_str());
+  std::remove(text_path.c_str());
 }
 
 TEST(Flight, TailLimitsKeepLastNEventsAndSpans) {
@@ -155,20 +166,6 @@ TEST(Flight, TailLimitsKeepLastNEventsAndSpans) {
   std::remove(path.c_str());
 }
 
-TEST(Flight, RejectsMissingAndMalformedFiles) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  EXPECT_FALSE(obs::print_flight_recording("/nonexistent/flight.json", sink));
-  const std::string bogus = write_file("flight_bogus.json", "{\"format\": \"other\"}");
-  EXPECT_FALSE(obs::print_flight_recording(bogus, sink));
-  const std::string truncated =
-      write_file("flight_trunc.json", "{\"format\": \"moonshot-flight-v1\",");
-  EXPECT_FALSE(obs::print_flight_recording(truncated, sink));
-  std::fclose(sink);
-  std::remove(bogus.c_str());
-  std::remove(truncated.c_str());
-}
-
 TEST(Flight, DocumentMatchesGolden) {
   obs::Tracer tracer(4);
   run_traced(tracer);
@@ -184,16 +181,24 @@ TEST(Flight, DocumentMatchesGolden) {
   const std::string path = testing::TempDir() + "flight_golden.json";
   ASSERT_TRUE(
       obs::write_flight_recording(path, make_context(), &tracer, &reg, small));
+  const std::string text_path = obs::flight_text_path(path);
   const std::string got = read_file(path);
+  const std::string got_text = read_file(text_path);
   std::remove(path.c_str());
+  std::remove(text_path.c_str());
   ASSERT_FALSE(got.empty());
+  ASSERT_FALSE(got_text.empty());
 
   if (std::getenv("MOONSHOT_UPDATE_GOLDEN")) {
-    std::FILE* f = std::fopen(kGoldenFlight, "wb");
-    ASSERT_NE(f, nullptr) << "cannot write " << kGoldenFlight;
-    std::fwrite(got.data(), 1, got.size(), f);
-    std::fclose(f);
-    GTEST_SKIP() << "golden file regenerated at " << kGoldenFlight;
+    for (const auto& [golden, content] :
+         {std::pair{kGoldenFlight, &got}, std::pair{kGoldenFlightText, &got_text}}) {
+      std::FILE* f = std::fopen(golden, "wb");
+      ASSERT_NE(f, nullptr) << "cannot write " << golden;
+      std::fwrite(content->data(), 1, content->size(), f);
+      std::fclose(f);
+    }
+    GTEST_SKIP() << "golden files regenerated at " << kGoldenFlight << " and "
+                 << kGoldenFlightText;
   }
 
   const std::string want = read_file(kGoldenFlight);
@@ -201,6 +206,12 @@ TEST(Flight, DocumentMatchesGolden) {
                              << " — regenerate with MOONSHOT_UPDATE_GOLDEN=1";
   EXPECT_EQ(got, want) << "flight recording format drifted; if intentional, "
                           "regenerate with MOONSHOT_UPDATE_GOLDEN=1";
+  const std::string want_text = read_file(kGoldenFlightText);
+  ASSERT_FALSE(want_text.empty()) << "missing golden file " << kGoldenFlightText
+                                  << " — regenerate with MOONSHOT_UPDATE_GOLDEN=1";
+  EXPECT_EQ(got_text, want_text) << "flight postmortem text drifted; if "
+                                    "intentional, regenerate with "
+                                    "MOONSHOT_UPDATE_GOLDEN=1";
 }
 
 }  // namespace
