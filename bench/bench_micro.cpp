@@ -115,6 +115,76 @@ void BM_Ed25519_BatchVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519_BatchVerify)->Arg(16)->Arg(67);
 
+void BM_Ed25519_Keygen(benchmark::State& state) {
+  // Public-key derivation: one comb evaluation of s*B plus the fe_invert in
+  // ge_tobytes. Every keypair of an Ed25519 world's setup pays this.
+  crypto::Ed25519Seed seed;
+  seed.data[0] = 7;
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::ed25519_public_key(seed));
+}
+BENCHMARK(BM_Ed25519_Keygen);
+
+// Per-step costs under one verification: the field kernel, the R
+// decompression and the challenge hash. Field loops feed each result into the
+// next call, so they time a dependent chain (latency), as the exponentiation
+// ladders run it.
+crypto::Fe bench_fe(std::uint8_t salt) {
+  std::uint8_t b[32];
+  for (int i = 0; i < 32; ++i) b[i] = static_cast<std::uint8_t>(i * 29 + salt);
+  b[31] &= 0x7f;
+  return crypto::fe_frombytes(b);
+}
+
+void BM_FeMul(benchmark::State& state) {
+  crypto::Fe a = bench_fe(1);
+  const crypto::Fe b = bench_fe(2);
+  for (auto _ : state) {
+    a = crypto::fe_mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeMul);
+
+void BM_FeSq(benchmark::State& state) {
+  crypto::Fe a = bench_fe(3);
+  for (auto _ : state) {
+    a = crypto::fe_sq(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeSq);
+
+void BM_FeInvert(benchmark::State& state) {
+  crypto::Fe a = bench_fe(4);  // nonzero, so every inverse in the chain is too
+  for (auto _ : state) {
+    a = crypto::fe_invert(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeInvert);
+
+void BM_GeFrombytes(benchmark::State& state) {
+  // The R decompression of a vote signature (square root via fe_pow_p58).
+  crypto::Ed25519Seed seed;
+  seed.data[0] = 1;
+  const auto sig = crypto::ed25519_sign(seed, Bytes(32, 0x42));
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::ge_frombytes(sig.data.data()));
+}
+BENCHMARK(BM_GeFrombytes);
+
+void BM_ChallengeHash(benchmark::State& state) {
+  // k = SHA-512(R || A || M) mod L at vote size: M is the 32-byte vote
+  // signing digest, so the hash input is 96 bytes.
+  const Bytes ram(96, 0x5a);
+  std::uint8_t k[32];
+  for (auto _ : state) {
+    const auto digest = crypto::sha512(ram);
+    crypto::sc_reduce512(k, digest.data.data());
+    benchmark::DoNotOptimize(k);
+  }
+}
+BENCHMARK(BM_ChallengeHash);
+
 // Shared key/signature pool for the parallel cache benchmark. Function-local
 // static so the (expensive) signing setup runs once, not once per bench
 // thread.

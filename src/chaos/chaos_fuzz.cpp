@@ -21,12 +21,16 @@
 //                                       the paper's failure bounds
 //
 // On a failing run the schedule is shrunk to a locally minimal reproducer and
-// printed as a replayable command line; the exit code is non-zero.
+// printed as a replayable command line; the exit code is non-zero. With
+// --flight PATH a sweep replays each reproducer once more to record it: the
+// lowest failing seed writes PATH, every later one <stem>.seed<N>.json (stem =
+// PATH without ".json"), each with its rendered .txt sibling.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chaos/engine.hpp"
@@ -81,7 +85,9 @@ struct Options {
                "                  [--max-events N] [--schedule STR] [--smoke]\n"
                "                  [--inject-bug] [--crash-heavy] [--fsync-us N]\n"
                "                  [--flight PATH]  (on failure: JSON recording at PATH,\n"
-               "                                    rendered postmortem at its .txt sibling)\n"
+               "                                    rendered postmortem at its .txt sibling;\n"
+               "                                    later failing seeds of a sweep write\n"
+               "                                    <stem>.seed<N>.json and .txt)\n"
                "                  [--adversary N] [--adversary-strategies s1,s2,...]\n"
                "                  [--latency-oracle] [--adversary-smoke] [--jobs N|auto]\n");
   std::exit(2);
@@ -201,6 +207,16 @@ std::string reproducer_line(const Options& opt, std::uint64_t seed,
   return out;
 }
 
+/// Where a sweep records a failing seed's replay: the lowest failing seed
+/// keeps `path`, each later one gets <stem>.seed<N>.json, so no postmortem
+/// overwrites another.
+std::string sweep_flight_path(const std::string& path, std::uint64_t seed, bool lowest) {
+  if (lowest) return path;
+  constexpr std::string_view kJson = ".json";
+  const std::string stem = path.ends_with(kJson) ? path.substr(0, path.size() - kJson.size()) : path;
+  return stem + ".seed" + std::to_string(seed) + ".json";
+}
+
 void print_reproducer(const Options& opt, std::uint64_t seed, const FaultSchedule& schedule) {
   const std::string line = reproducer_line(opt, seed, schedule);
   std::fputs(line.c_str(), stdout);
@@ -275,10 +291,10 @@ int fuzz(const Options& opt) {
                 shrunk.schedule.events.size(), shrunk.oracle_calls);
     print_reproducer(opt, seed, shrunk.schedule);
     if (!opt.flight.empty()) {
-      // One sequential replay of the minimal reproducer writes the
-      // postmortem (later failing seeds overwrite, like the sequential
-      // sweep always did).
-      run_chaos(make_run_config(opt, seed, shrunk.schedule));
+      // One sequential replay of the minimal reproducer writes the postmortem.
+      ChaosRunConfig cfg = make_run_config(opt, seed, shrunk.schedule);
+      cfg.flight_path = sweep_flight_path(opt.flight, seed, failures == 1);
+      run_chaos(cfg);
     }
   }
   std::printf("%zu/%zu runs ok\n", opt.runs - failures, opt.runs);

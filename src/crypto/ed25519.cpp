@@ -46,7 +46,7 @@ struct KeyCtx {
   GeWnafTable hi;  // width-8 odd multiples of 2^128 * A
 };
 
-// ~20 KiB of tables per key; the cap bounds the cache at ~20 MiB while still
+// 15 KiB of tables per key; the cap bounds the cache at ~15 MiB while still
 // covering far more validators than any simulated committee. The cache is
 // sharded 16 ways so concurrent worlds verifying under different keys don't
 // serialise on one mutex; each shard carries its slice of the cap.
@@ -232,7 +232,7 @@ bool ed25519_verify_batch(const std::vector<Ed25519BatchItem>& items,
     p.idx = i;
     p.ctx = std::move(ctx);
     challenge_scalar(p.h, r_enc, *item.pub, item.message);
-    p.r_aff = GePrecomp{fe_add(R->Y, R->X), fe_sub(R->Y, R->X), fe_mul(R->T, ge_2d())};
+    p.r_aff = GePrecomp{fe_add(R->Y, R->X), fe_sub(R->Y, R->X), fe_mul(R->T, ge_2d)};
     prep.push_back(std::move(p));
   }
   if (prep.empty()) return all_ok;

@@ -2,25 +2,6 @@
 
 namespace moonshot::crypto {
 
-const Fe& ge_2d() {
-  static const Fe cached = fe_add(ge_d(), ge_d());
-  return cached;
-}
-
-GePoint ge_identity() {
-  return GePoint{fe_zero(), fe_one(), fe_one(), fe_zero()};
-}
-
-const Fe& ge_d() {
-  static const Fe cached = [] {
-    // d = -121665 / 121666 mod p
-    const Fe num = fe_from_u64(121665);
-    const Fe den = fe_from_u64(121666);
-    return fe_neg(fe_mul(num, fe_invert(den)));
-  }();
-  return cached;
-}
-
 const GePoint& ge_basepoint() {
   static const GePoint cached = [] {
     // B has y = 4/5 and even x, so its encoding is enc(4/5) with sign bit 0.
@@ -34,98 +15,13 @@ const GePoint& ge_basepoint() {
 }
 
 GePoint ge_add(const GePoint& p, const GePoint& q) {
-  // add-2008-hwcd-3 with a = -1, k = 2d.
-  const Fe A = fe_mul(fe_sub(p.Y, p.X), fe_sub(q.Y, q.X));
-  const Fe B = fe_mul(fe_add(p.Y, p.X), fe_add(q.Y, q.X));
-  const Fe C = fe_mul(fe_mul(p.T, ge_2d()), q.T);
-  const Fe D = fe_mul(fe_add(p.Z, p.Z), q.Z);
-  const Fe E = fe_sub(B, A);
-  const Fe F = fe_sub(D, C);
-  const Fe G = fe_add(D, C);
-  const Fe H = fe_add(B, A);
-  return GePoint{fe_mul(E, F), fe_mul(G, H), fe_mul(F, G), fe_mul(E, H)};
+  return ge_detail::add_core(p, fe_sub(q.Y, q.X), fe_add(q.Y, q.X),
+                             fe_mul(fe_mul(p.T, ge_2d), q.T), fe_mul(fe_add(p.Z, p.Z), q.Z), false);
 }
-
-GePoint ge_double_partial(const GePoint& p, bool need_t) {
-  // dbl-2008-hwcd with a = -1. Reads only X, Y, Z — never T — so chained
-  // doublings may start from a point whose T was elided.
-  const Fe A = fe_sq(p.X);
-  const Fe B = fe_sq(p.Y);
-  const Fe zz = fe_sq(p.Z);
-  const Fe C = fe_add(zz, zz);
-  const Fe D = fe_neg(A);
-  const Fe xy = fe_add(p.X, p.Y);
-  const Fe E = fe_sub(fe_sub(fe_sq(xy), A), B);
-  const Fe G = fe_add(D, B);
-  const Fe F = fe_sub(G, C);
-  const Fe H = fe_sub(D, B);
-  GePoint r;
-  r.X = fe_mul(E, F);
-  r.Y = fe_mul(G, H);
-  r.Z = fe_mul(F, G);
-  r.T = need_t ? fe_mul(E, H) : fe_zero();
-  return r;
-}
-
-GePoint ge_double(const GePoint& p) { return ge_double_partial(p, true); }
 
 GePoint ge_neg(const GePoint& p) {
-  return GePoint{fe_neg(p.X), p.Y, p.Z, fe_neg(p.T)};
-}
-
-GeCached ge_to_cached(const GePoint& p) {
-  return GeCached{fe_add(p.Y, p.X), fe_sub(p.Y, p.X), p.Z, fe_mul(p.T, ge_2d())};
-}
-
-GePoint ge_add_cached(const GePoint& p, const GeCached& q) {
-  const Fe A = fe_mul(fe_sub(p.Y, p.X), q.YminusX);
-  const Fe B = fe_mul(fe_add(p.Y, p.X), q.YplusX);
-  const Fe C = fe_mul(p.T, q.T2d);
-  const Fe D = fe_mul(fe_add(p.Z, p.Z), q.Z);
-  const Fe E = fe_sub(B, A);
-  const Fe F = fe_sub(D, C);
-  const Fe G = fe_add(D, C);
-  const Fe H = fe_add(B, A);
-  return GePoint{fe_mul(E, F), fe_mul(G, H), fe_mul(F, G), fe_mul(E, H)};
-}
-
-GePoint ge_sub_cached(const GePoint& p, const GeCached& q) {
-  // p + (-q): negating q swaps Y±X and flips the sign of T, so C is
-  // subtracted where ge_add_cached adds it.
-  const Fe A = fe_mul(fe_sub(p.Y, p.X), q.YplusX);
-  const Fe B = fe_mul(fe_add(p.Y, p.X), q.YminusX);
-  const Fe C = fe_mul(p.T, q.T2d);
-  const Fe D = fe_mul(fe_add(p.Z, p.Z), q.Z);
-  const Fe E = fe_sub(B, A);
-  const Fe F = fe_add(D, C);
-  const Fe G = fe_sub(D, C);
-  const Fe H = fe_add(B, A);
-  return GePoint{fe_mul(E, F), fe_mul(G, H), fe_mul(F, G), fe_mul(E, H)};
-}
-
-GePoint ge_madd(const GePoint& p, const GePrecomp& q) {
-  // Mixed addition: q.Z == 1, so D = 2*Z1 needs no multiplication.
-  const Fe A = fe_mul(fe_sub(p.Y, p.X), q.ymx);
-  const Fe B = fe_mul(fe_add(p.Y, p.X), q.ypx);
-  const Fe C = fe_mul(p.T, q.xy2d);
-  const Fe D = fe_add(p.Z, p.Z);
-  const Fe E = fe_sub(B, A);
-  const Fe F = fe_sub(D, C);
-  const Fe G = fe_add(D, C);
-  const Fe H = fe_add(B, A);
-  return GePoint{fe_mul(E, F), fe_mul(G, H), fe_mul(F, G), fe_mul(E, H)};
-}
-
-GePoint ge_msub(const GePoint& p, const GePrecomp& q) {
-  const Fe A = fe_mul(fe_sub(p.Y, p.X), q.ypx);
-  const Fe B = fe_mul(fe_add(p.Y, p.X), q.ymx);
-  const Fe C = fe_mul(p.T, q.xy2d);
-  const Fe D = fe_add(p.Z, p.Z);
-  const Fe E = fe_sub(B, A);
-  const Fe F = fe_add(D, C);
-  const Fe G = fe_sub(D, C);
-  const Fe H = fe_add(B, A);
-  return GePoint{fe_mul(E, F), fe_mul(G, H), fe_mul(F, G), fe_mul(E, H)};
+  // Carried, so the coordinates stay reduced.
+  return GePoint{fe_carry(fe_neg(p.X)), p.Y, p.Z, fe_carry(fe_neg(p.T))};
 }
 
 GePoint ge_scalarmult(const std::uint8_t n_le[32], const GePoint& p) {
@@ -162,7 +58,7 @@ std::optional<GePoint> ge_frombytes(const std::uint8_t in[32]) {
   // Solve -x^2 + y^2 = 1 + d x^2 y^2  =>  x^2 = (y^2 - 1) / (d y^2 + 1).
   const Fe y2 = fe_sq(y);
   const Fe u = fe_sub(y2, fe_one());
-  const Fe v = fe_add(fe_mul(ge_d(), y2), fe_one());
+  const Fe v = fe_add(fe_mul(ge_d, y2), fe_one());
 
   // Candidate root: x = u * v^3 * (u * v^7)^((p-5)/8).
   const Fe v3 = fe_mul(fe_sq(v), v);
@@ -172,8 +68,9 @@ std::optional<GePoint> ge_frombytes(const std::uint8_t in[32]) {
   const Fe vx2 = fe_mul(v, fe_sq(x));
   if (fe_equal(vx2, u)) {
     // x is a root.
-  } else if (fe_equal(vx2, fe_neg(u))) {
-    x = fe_mul(x, fe_sqrtm1());
+  } else if (fe_iszero(fe_add(vx2, u))) {
+    // v x^2 == -u: x * sqrt(-1) is a root.
+    x = fe_mul(x, fe_sqrtm1);
   } else {
     return std::nullopt;  // not a quadratic residue: invalid encoding
   }
@@ -182,7 +79,7 @@ std::optional<GePoint> ge_frombytes(const std::uint8_t in[32]) {
     // x == 0 with sign bit set is non-canonical (RFC 8032 §5.1.3 step 4).
     if (sign) return std::nullopt;
   } else if (fe_isnegative(x) != sign) {
-    x = fe_neg(x);
+    x = fe_carry(fe_neg(x));
   }
 
   GePoint p;

@@ -69,16 +69,26 @@ struct BaseTables {
   GePrecomp odd_hi[kBaseOdd];    // (2i+1) * 2^128 * B
 };
 
-GePrecomp to_precomp(const GePoint& p, const Fe& zinv) {
-  const Fe x = fe_mul(p.X, zinv);
-  const Fe y = fe_mul(p.Y, zinv);
-  return GePrecomp{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), ge_2d())};
+/// Brings every point to Z = 1 with one fe_invert (Montgomery batch) and
+/// arranges it for mixed addition.
+std::vector<GePrecomp> to_precomp(const std::vector<GePoint>& pts) {
+  const std::size_t n = pts.size();
+  std::vector<Fe> zs(n), zinvs(n);
+  for (std::size_t i = 0; i < n; ++i) zs[i] = pts[i].Z;
+  fe_batch_invert(zinvs.data(), zs.data(), n);
+  std::vector<GePrecomp> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Fe x = fe_mul(pts[i].X, zinvs[i]);
+    const Fe y = fe_mul(pts[i].Y, zinvs[i]);
+    out[i] = GePrecomp{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), ge_2d)};
+  }
+  return out;
 }
 
 const BaseTables& base_tables() {
   static const BaseTables cached = [] {
     // Build every table point in extended coordinates first, then normalise
-    // all Z coordinates to 1 with a single fe_invert (Montgomery batch).
+    // them all with a single fe_invert.
     std::vector<GePoint> pts;
     pts.reserve(kCombCols * kCombMults + 2 * kBaseOdd);
 
@@ -105,18 +115,13 @@ const BaseTables& base_tables() {
       }
     }
 
-    const std::size_t n = pts.size();
-    std::vector<Fe> zs(n), zinvs(n);
-    for (std::size_t i = 0; i < n; ++i) zs[i] = pts[i].Z;
-    fe_batch_invert(zinvs.data(), zs.data(), n);
-
+    const std::vector<GePrecomp> pre = to_precomp(pts);
     BaseTables bt;
     std::size_t at = 0;
     for (int j = 0; j < kCombCols; ++j)
-      for (int i = 0; i < kCombMults; ++i, ++at)
-        bt.comb[j][i] = to_precomp(pts[at], zinvs[at]);
-    for (int i = 0; i < kBaseOdd; ++i, ++at) bt.odd[i] = to_precomp(pts[at], zinvs[at]);
-    for (int i = 0; i < kBaseOdd; ++i, ++at) bt.odd_hi[i] = to_precomp(pts[at], zinvs[at]);
+      for (int i = 0; i < kCombMults; ++i) bt.comb[j][i] = pre[at++];
+    for (int i = 0; i < kBaseOdd; ++i) bt.odd[i] = pre[at++];
+    for (int i = 0; i < kBaseOdd; ++i) bt.odd_hi[i] = pre[at++];
     return bt;
   }();
   return cached;
@@ -189,17 +194,11 @@ void sc_split128(std::uint8_t lo[32], std::uint8_t hi[32], const std::uint8_t s_
 }
 
 GeWnafTable ge_wnaf_table(const GePoint& p, int width) {
-  GeWnafTable t;
-  t.width = width;
-  t.odd.resize(std::size_t{1} << (width - 2));
-  t.odd[0] = ge_to_cached(p);
-  const GeCached p2 = ge_to_cached(ge_double(p));
-  GePoint cur = p;
-  for (std::size_t i = 1; i < t.odd.size(); ++i) {
-    cur = ge_add_cached(cur, p2);
-    t.odd[i] = ge_to_cached(cur);
-  }
-  return t;
+  std::vector<GePoint> pts(std::size_t{1} << (width - 2));
+  pts[0] = p;
+  const GePoint p2 = ge_double(p);
+  for (std::size_t i = 1; i < pts.size(); ++i) pts[i] = ge_add(pts[i - 1], p2);
+  return GeWnafTable{width, to_precomp(pts)};
 }
 
 GePoint ge_multi_scalarmult_vartime(const std::vector<GeMultiTerm>& terms,
@@ -257,7 +256,14 @@ GePoint ge_multi_scalarmult_vartime(const std::vector<GeMultiTerm>& terms,
     for (const Hit& h : hits) sorted[cursor[h.level]++] = h;
   }
 
+  // Every term's odd multiples, affine, indexed by term (then base lo, hi).
   const BaseTables& bt = base_tables();
+  std::vector<const GePrecomp*> odd(n + 2);
+  for (std::size_t t = 0; t < n; ++t)
+    odd[t] = terms[t].affine ? terms[t].affine : terms[t].table->odd.data();
+  odd[n] = bt.odd;
+  odd[n + 1] = bt.odd_hi;
+
   GePoint r = ge_identity();
   for (int i = top; i >= 0; --i) {
     const std::uint32_t b = off[i], e = off[i + 1];
@@ -267,25 +273,11 @@ GePoint ge_multi_scalarmult_vartime(const std::vector<GeMultiTerm>& terms,
     for (std::uint32_t k = b; k < e; ++k) {
       const Hit& h = sorted[k];
       const int d = h.digit;
-      const std::size_t idx = static_cast<std::size_t>(d < 0 ? -d : d) >> 1;
-      if (h.term >= n) {
-        const GePrecomp& pc = (h.term == n ? bt.odd : bt.odd_hi)[idx];
-        r = d > 0 ? ge_madd(r, pc) : ge_msub(r, pc);
-      } else if (const GePrecomp* aff = terms[h.term].affine) {
-        r = d > 0 ? ge_madd(r, *aff) : ge_msub(r, *aff);
-      } else {
-        const GeCached& c = terms[h.term].table->odd[idx];
-        r = d > 0 ? ge_add_cached(r, c) : ge_sub_cached(r, c);
-      }
+      const GePrecomp& pc = odd[h.term][static_cast<std::size_t>(d < 0 ? -d : d) >> 1];
+      r = d > 0 ? ge_madd(r, pc) : ge_msub(r, pc);
     }
   }
   return r;
-}
-
-GePoint ge_double_scalarmult_vartime(const std::uint8_t a_le[32], const GePoint& A,
-                                     const std::uint8_t b_le[32]) {
-  const GeWnafTable table = ge_wnaf_table(A, 5);
-  return ge_multi_scalarmult_vartime({GeMultiTerm{&table, a_le}}, b_le);
 }
 
 GePoint ge_scalarmult_base(const std::uint8_t n_le[32]) {

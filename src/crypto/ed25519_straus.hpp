@@ -4,9 +4,10 @@
 //   - sc_wnaf: width-w non-adjacent-form recoding of a 256-bit scalar into
 //     signed odd digits, the standard way to trade table size for additions.
 //   - ge_wnaf_table / ge_multi_scalarmult_vartime: Straus/Shamir interleaving
-//     — every term shares ONE doubling chain, each contributing an addition
-//     only where its wNAF digit is nonzero. This is what makes verification's
-//     double-scalar (and batch verification's many-scalar) products cheap.
+//     — every term shares ONE doubling chain, each contributing a mixed
+//     addition (ge_madd/ge_msub against an affine table entry) only where its
+//     wNAF digit is nonzero. This is what makes verification's double-scalar
+//     (and batch verification's many-scalar) products cheap.
 //   - a precomputed radix-16 comb for the fixed base point B, which removes
 //     doublings from n*B entirely (it backs ge_scalarmult_base).
 //
@@ -40,14 +41,15 @@ void sc_wnaf(signed char out[kWnafDigits], const std::uint8_t s_le[32], int widt
 /// halves the length of the shared doubling chain.
 void sc_split128(std::uint8_t lo[32], std::uint8_t hi[32], const std::uint8_t s_le[32]);
 
-/// Odd multiples of a point, cached for the addition kernel: odd[i] holds
+/// Odd multiples of a point in affine form for mixed addition: odd[i] holds
 /// (2i+1) * P, with 2^(width-2) entries matching sc_wnaf digits of `width`.
 struct GeWnafTable {
   int width = 0;
-  std::vector<GeCached> odd;
+  std::vector<GePrecomp> odd;
 };
 
-/// Builds the odd-multiple table for p (one doubling + 2^(width-2)-1 adds).
+/// Builds the odd-multiple table for p: one doubling, 2^(width-2)-1 adds and
+/// one batched inversion to bring every entry to Z = 1.
 GeWnafTable ge_wnaf_table(const GePoint& p, int width);
 
 /// One scalar*point term of a multi-scalar product. Pointers are borrowed and
@@ -58,8 +60,7 @@ GeWnafTable ge_wnaf_table(const GePoint& p, int width);
 /// Sparse digits let callers with structurally sparse coefficients (e.g.
 /// batch-verification randomizers) skip recoding and table building entirely.
 /// A sparse term may alternatively name a single affine point via `affine`
-/// instead of a table; its digits must then be +1/-1, and each costs a mixed
-/// (7-multiplication) addition instead of a cached (8-multiplication) one.
+/// instead of a table; its digits must then be +1/-1.
 struct GeMultiTerm {
   const GeWnafTable* table = nullptr;
   const std::uint8_t* scalar = nullptr;
@@ -80,12 +81,5 @@ struct GeMultiTerm {
 /// T coordinate except directly before an addition (ge_double_partial).
 GePoint ge_multi_scalarmult_vartime(const std::vector<GeMultiTerm>& terms,
                                     const std::uint8_t* base_scalar_le);
-
-/// a*A + b*B — the verification equation shape. Convenience wrapper that
-/// builds a one-off width-5 table for A and does not split `a` (the chain
-/// runs the full bit length of `a`); the cached-key path in ed25519.cpp does
-/// better by reusing split tables.
-GePoint ge_double_scalarmult_vartime(const std::uint8_t a_le[32], const GePoint& A,
-                                     const std::uint8_t b_le[32]);
 
 }  // namespace moonshot::crypto

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+
 #include "crypto/ed25519_fe.hpp"
 #include "crypto/ed25519_group.hpp"
 #include "crypto/ed25519_scalar.hpp"
@@ -45,7 +48,7 @@ TEST(Ed25519Field, InvertIsInverse) {
 
 TEST(Ed25519Field, SqrtM1Squared) {
   // sqrt(-1)^2 == -1.
-  EXPECT_TRUE(fe_equal(fe_sq(fe_sqrtm1()), fe_neg(fe_one())));
+  EXPECT_TRUE(fe_equal(fe_sq(fe_sqrtm1), fe_neg(fe_one())));
 }
 
 TEST(Ed25519Field, ToFromBytesRoundTrip) {
@@ -75,6 +78,212 @@ TEST(Ed25519Field, CanonicalReductionOfP) {
   EXPECT_TRUE(fe_iszero(f));
 }
 
+TEST(Ed25519Field, CurveConstantsMatchDefiningEquations) {
+  // The constants are compile-time limbs; each is pinned by its defining
+  // equation: sqrt(-1)^2 = -1, d * 121666 = -121665 and 2d = d + d.
+  static_assert(fe_sqrtm1.v[0] != 0 && ge_d.v[0] != 0 && ge_2d.v[0] != 0);
+  EXPECT_TRUE(fe_equal(fe_sq(fe_sqrtm1), fe_neg(fe_one())));
+  EXPECT_TRUE(fe_equal(fe_mul(ge_d, fe_from_u64(121666)), fe_neg(fe_from_u64(121665))));
+  EXPECT_TRUE(fe_equal(ge_2d, fe_add(ge_d, ge_d)));
+  // Canonical limbs: each encodes and decodes to itself.
+  for (const Fe& c : {fe_sqrtm1, ge_d, ge_2d}) {
+    std::uint8_t b[32];
+    fe_tobytes(b, c);
+    EXPECT_EQ(0, std::memcmp(fe_frombytes(b).v, c.v, sizeof(c.v)));
+  }
+}
+
+TEST(Ed25519Field, InvertTimesInputIsOneOn10kDraws) {
+  Prng prng(34);
+  int checked = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    std::uint8_t b[32];
+    for (int k = 0; k < 32; k += 8) {
+      const std::uint64_t w = prng.next_u64();
+      std::memcpy(b + k, &w, 8);
+    }
+    const Fe a = fe_frombytes(b);
+    if (fe_iszero(a)) continue;
+    ASSERT_TRUE(fe_equal(fe_mul(fe_invert(a), a), fe_one())) << "draw " << i;
+    ++checked;
+  }
+  EXPECT_GT(checked, 9'990);
+}
+
+// --- Field kernel against a test-local reference -------------------------------
+//
+// The reference holds canonical values in four 64-bit words and multiplies by
+// 512-bit schoolbook products folded with 2^256 ≡ 38 (mod p); it shares no
+// code with the 5x51-bit kernel, so the two can only agree by being right.
+
+using Ref = std::array<std::uint64_t, 4>;
+using u128 = unsigned __int128;
+
+constexpr Ref kRefP = {0xffffffffffffffedull, ~0ull, ~0ull, 0x7fffffffffffffffull};
+
+Ref ref_canon(Ref a) {
+  // a < 2^256 < 3p, so at most two subtractions.
+  auto ge_p = [&] {
+    for (int i = 3; i >= 0; --i)
+      if (a[i] != kRefP[i]) return a[i] > kRefP[i];
+    return true;
+  };
+  while (ge_p()) {
+    std::uint64_t borrow = 0;
+    for (int i = 0; i < 4; ++i) {
+      const u128 d = static_cast<u128>(a[i]) - kRefP[i] - borrow;
+      a[i] = static_cast<std::uint64_t>(d);
+      borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+    }
+  }
+  return a;
+}
+
+/// Canonical value of the 512-bit little-endian integer w.
+Ref ref_reduce(const std::uint64_t w[8]) {
+  Ref r{};
+  u128 c = 0;
+  for (int i = 0; i < 4; ++i) {
+    c += static_cast<u128>(w[i]) + static_cast<u128>(w[i + 4]) * 38;
+    r[i] = static_cast<std::uint64_t>(c);
+    c >>= 64;
+  }
+  // Fold what spilled past 2^256 (twice: the first fold can carry once more).
+  for (int round = 0; round < 2; ++round) {
+    u128 f = c * 38;
+    for (int i = 0; i < 4; ++i) {
+      f += r[i];
+      r[i] = static_cast<std::uint64_t>(f);
+      f >>= 64;
+    }
+    c = f;
+  }
+  return ref_canon(r);
+}
+
+Ref ref_mul(const Ref& a, const Ref& b) {
+  std::uint64_t w[8] = {0};
+  for (int i = 0; i < 4; ++i) {
+    std::uint64_t carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      const u128 t = static_cast<u128>(a[i]) * b[j] + w[i + j] + carry;
+      w[i + j] = static_cast<std::uint64_t>(t);
+      carry = static_cast<std::uint64_t>(t >> 64);
+    }
+    w[i + 4] = carry;
+  }
+  return ref_reduce(w);
+}
+
+/// Canonical value of any limb vector: sum v[i] * 2^(51 i) mod p.
+Ref ref_of(const Fe& f) {
+  std::uint64_t w[8] = {0};
+  for (int i = 0; i < 5; ++i) {
+    const int bit = 51 * i;
+    const u128 shifted = static_cast<u128>(f.v[i]) << (bit % 64);
+    u128 c = 0;
+    for (int k = bit / 64, part = 0; k < 8; ++k, ++part) {
+      c += w[k];
+      if (part == 0) c += static_cast<std::uint64_t>(shifted);
+      if (part == 1) c += static_cast<std::uint64_t>(shifted >> 64);
+      w[k] = static_cast<std::uint64_t>(c);
+      c >>= 64;
+    }
+  }
+  return ref_reduce(w);
+}
+
+Ref ref_sq_n(Ref a, int n) {
+  for (int k = 0; k < n; ++k) a = ref_mul(a, a);
+  return a;
+}
+
+/// base^e by plain square-and-multiply, e as four little-endian words.
+Ref ref_pow(const Ref& base, const Ref& e) {
+  Ref r = {1, 0, 0, 0};
+  for (int bit = 255; bit >= 0; --bit) {
+    r = ref_mul(r, r);
+    if ((e[bit / 64] >> (bit % 64)) & 1) r = ref_mul(r, base);
+  }
+  return r;
+}
+
+Ref ref_bytes_of(const Fe& f) {
+  std::uint8_t b[32];
+  fe_tobytes(b, f);
+  Ref r{};
+  std::memcpy(r.data(), b, 32);
+  return r;
+}
+
+/// The largest limb a reduced element may carry (ed25519_fe.hpp).
+constexpr std::uint64_t kReducedMax = (1ull << 51) + (1ull << 18) - 1;
+
+/// A reduced element with random limbs anywhere in the documented bound, so
+/// draws cover both non-canonical limbs and values in [p, 2^255 + ...).
+Fe random_reduced(Prng& prng) {
+  Fe f;
+  for (auto& x : f.v) x = prng.next_u64() % (kReducedMax + 1);
+  return f;
+}
+
+TEST(Ed25519FieldKernel, MulSqSqnInvertMatchReference) {
+  Prng prng(35);
+  const Ref p_minus_2 = {0xffffffffffffffebull, ~0ull, ~0ull, 0x7fffffffffffffffull};
+  const Ref p_minus_5_over_8 = {0xfffffffffffffffdull, ~0ull, ~0ull, 0x0fffffffffffffffull};
+  for (int i = 0; i < 400; ++i) {
+    const Fe a = random_reduced(prng);
+    const Fe b = random_reduced(prng);
+    const Ref ra = ref_of(a), rb = ref_of(b);
+    ASSERT_EQ(ref_bytes_of(fe_mul(a, b)), ref_mul(ra, rb)) << "mul, draw " << i;
+    ASSERT_EQ(ref_bytes_of(fe_sq(a)), ref_mul(ra, ra)) << "sq, draw " << i;
+    ASSERT_TRUE(fe_equal(fe_sq(a), fe_mul(a, a))) << "sq vs mul, draw " << i;
+    const int n = static_cast<int>(prng.next_u64() % 24);
+    ASSERT_EQ(ref_bytes_of(fe_sq_n(a, n)), ref_sq_n(ra, n)) << "sq_n(" << n << "), draw " << i;
+    if (i % 8 == 0) {
+      ASSERT_EQ(ref_bytes_of(fe_invert(a)), ref_pow(ra, p_minus_2)) << "invert, draw " << i;
+      ASSERT_EQ(ref_bytes_of(fe_pow_p58(a)), ref_pow(ra, p_minus_5_over_8))
+          << "pow_p58, draw " << i;
+    }
+  }
+  EXPECT_EQ(ref_bytes_of(fe_invert(fe_zero())), (Ref{0, 0, 0, 0}));  // 0 maps to 0
+}
+
+TEST(Ed25519FieldKernel, LargestLazyInputsMatchReference) {
+  // Feed mul/sq the largest inputs the limb bounds allow: chains of add/sub
+  // with no carry between them, built from reduced elements at the top of
+  // their range (every limb kReducedMax) and from random ones.
+  Prng prng(36);
+  Fe top;
+  for (auto& x : top.v) x = kReducedMax;
+  for (int i = 0; i < 200; ++i) {
+    const Fe r[3] = {i == 0 ? top : random_reduced(prng), i == 0 ? top : random_reduced(prng),
+                     i == 0 ? top : random_reduced(prng)};
+    const Fe sum3 = fe_add(fe_add(r[0], r[1]), r[2]);  // largest subtrahend
+    Fe sum7 = sum3;
+    for (int k = 0; k < 4; ++k) sum7 = fe_add(sum7, i == 0 ? top : random_reduced(prng));
+    const Fe big_sub = fe_sub(sum3, fe_zero());  // a + 4p - 0: the largest difference
+    const Fe sub_of_sum = fe_sub(sum3, sum3);    // subtrahend at its own bound
+    const Fe neg_sum = fe_neg(sum3);
+    const Fe neg_top = fe_neg(fe_zero());        // 4p itself
+    const Fe sub_neg = fe_sub(r[0], neg_top);    // an fe_neg result as subtrahend
+    const Fe inputs[] = {sum3, sum7, big_sub, sub_of_sum, neg_sum, neg_top, sub_neg};
+    for (const Fe& in : inputs) ASSERT_TRUE(fe_detail::is_mul_input(in));
+    ASSERT_TRUE(fe_detail::is_subtrahend(sum3) && fe_detail::is_subtrahend(neg_sum));
+    // The reference reads each lazy value limb by limb, so it checks the
+    // add/sub results as well as the products.
+    for (const Fe& x : inputs) {
+      const Ref rx = ref_of(x);
+      ASSERT_EQ(ref_bytes_of(x), rx) << "draw " << i;
+      ASSERT_EQ(ref_bytes_of(fe_carry(x)), rx) << "draw " << i;
+      ASSERT_EQ(ref_bytes_of(fe_sq(x)), ref_mul(rx, rx)) << "draw " << i;
+      ASSERT_EQ(ref_bytes_of(fe_sq_n(x, 3)), ref_sq_n(rx, 3)) << "draw " << i;
+      for (const Fe& y : inputs)
+        ASSERT_EQ(ref_bytes_of(fe_mul(x, y)), ref_mul(rx, ref_of(y))) << "draw " << i;
+    }
+  }
+}
+
 // --- Group arithmetic --------------------------------------------------------
 
 TEST(Ed25519Group, BasepointOnCurve) {
@@ -85,7 +294,7 @@ TEST(Ed25519Group, BasepointOnCurve) {
   const Fe y = fe_mul(B.Y, zinv);
   const Fe x2 = fe_sq(x), y2 = fe_sq(y);
   const Fe lhs = fe_sub(y2, x2);
-  const Fe rhs = fe_add(fe_one(), fe_mul(ge_d(), fe_mul(x2, y2)));
+  const Fe rhs = fe_add(fe_one(), fe_mul(ge_d, fe_mul(x2, y2)));
   EXPECT_TRUE(fe_equal(lhs, rhs));
 }
 
