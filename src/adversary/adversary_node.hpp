@@ -43,7 +43,6 @@ class AdversaryNode final : public BaseNode {
   NodeId self() const { return ctx_.id; }
   const ValidatorSet& validator_set() const { return *ctx_.validators; }
   bool leads(View v) const { return i_am_leader(v); }
-  NodeId view_leader(View v) const { return leader_of(v); }
   View view() const { return view_; }
   void set_view(View v) { view_ = v; }
   Duration delta() const { return ctx_.delta; }

@@ -194,17 +194,7 @@ GenerateOptions make_gen_options(const Options& opt) {
 
 std::string reproducer_line(const Options& opt, std::uint64_t seed,
                             const FaultSchedule& schedule) {
-  std::string extras;
-  if (opt.inject_bug) extras += " --inject-bug";
-  if (opt.fsync_us > 0) extras += " --fsync-us " + std::to_string(opt.fsync_us);
-  if (opt.latency_oracle) extras += " --latency-oracle";
-  std::string out;
-  exec::appendf(out, "  chaos_fuzz --protocol %s --seed %llu --n %zu --duration-ms %lld"
-                " --delta-ms %lld%s --schedule \"%s\"\n",
-                protocol_cli_tag(opt.protocol), static_cast<unsigned long long>(seed), opt.n,
-                static_cast<long long>(opt.duration_ms), static_cast<long long>(opt.delta_ms),
-                extras.c_str(), schedule.to_string().c_str());
-  return out;
+  return "  " + reproducer_command(make_run_config(opt, seed, schedule)) + "\n";
 }
 
 /// Where a sweep records a failing seed's replay: the lowest failing seed

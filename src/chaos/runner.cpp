@@ -60,7 +60,6 @@ std::string ChaosReport::failure() const {
   if (!safety_ok) os << "[safety] ";
   if (!liveness_ok) os << "[liveness] ";
   if (!conformance_ok) os << "[conformance] ";
-  if (!chain_shape_ok) os << "[chain-shape] ";
   if (!latency_ok) os << "[latency] ";
   for (std::size_t i = 0; i < violations.size() && i < 3; ++i) os << violations[i] << "; ";
   if (violations.size() > 3) os << "(+" << violations.size() - 3 << " more)";
@@ -162,20 +161,6 @@ ChaosReport run_chaos(const ChaosRunConfig& cfg) {
     report.violations.push_back("injected bug: partition overlaps crash");
   }
 
-  for (NodeId id = 0; id < cfg.n; ++id) {
-    if (e.is_faulty(id)) continue;
-    const auto& blocks = e.node(id).commit_log().blocks();
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (blocks[i]->height() != i + 1) {
-        report.chain_shape_ok = false;
-        std::ostringstream os;
-        os << "node " << id << ": height gap at log index " << i;
-        report.violations.push_back(os.str());
-        break;
-      }
-    }
-  }
-
   if (cfg.check_liveness && heal < end) {
     for (NodeId id = 0; id < cfg.n; ++id) {
       if (e.is_faulty(id)) continue;
@@ -199,7 +184,7 @@ ChaosReport run_chaos(const ChaosRunConfig& cfg) {
     adversary::LatencyOracle::Config ocfg;
     ocfg.protocol = protocol_cli_tag(cfg.protocol);
     ocfg.delta = cfg.delta;
-    ocfg.hop = cfg.oracle_hop > Duration(0) ? cfg.oracle_hop : cfg.delta / 4;
+    ocfg.hop = cfg.delta / 4;
     ocfg.n = cfg.n;
     ocfg.leader_of = [leaders = e.leaders()](View v) { return leaders->leader(v); };
     adversary::LatencyOracle oracle(std::move(ocfg), cfg.schedule.adversaries());
@@ -221,18 +206,25 @@ ChaosReport run_chaos(const ChaosRunConfig& cfg) {
     fctx.nodes = cfg.n;
     fctx.delta_ms = to_ms(cfg.delta);
     fctx.trigger = e.scheduler().now();
-    std::ostringstream repro;
-    repro << "chaos_fuzz --protocol " << protocol_cli_tag(cfg.protocol) << " --n "
-          << cfg.n << " --seed " << cfg.seed << " --delta-ms "
-          << static_cast<long long>(to_ms(cfg.delta)) << " --duration-ms "
-          << static_cast<long long>(to_ms(cfg.duration)) << " --schedule '"
-          << cfg.schedule.to_string() << "'";
-    if (cfg.inject_bug) repro << " --inject-bug";
-    fctx.repro = repro.str();
+    fctx.repro = reproducer_command(cfg);
     if (!obs::write_flight_recording(cfg.flight_path, fctx, tracer, &reg))
       std::fprintf(stderr, "flight: cannot write %s\n", cfg.flight_path.c_str());
   }
   return report;
+}
+
+std::string reproducer_command(const ChaosRunConfig& cfg) {
+  using std::chrono::duration_cast;
+  std::ostringstream os;
+  os << "chaos_fuzz --protocol " << protocol_cli_tag(cfg.protocol) << " --seed " << cfg.seed
+     << " --n " << cfg.n << " --duration-ms " << duration_cast<milliseconds>(cfg.duration).count()
+     << " --delta-ms " << duration_cast<milliseconds>(cfg.delta).count();
+  if (cfg.inject_bug) os << " --inject-bug";
+  if (cfg.wal.fsync_base > Duration(0))
+    os << " --fsync-us " << duration_cast<microseconds>(cfg.wal.fsync_base).count();
+  if (cfg.latency_oracle) os << " --latency-oracle";
+  os << " --schedule \"" << cfg.schedule.to_string() << "\"";
+  return os.str();
 }
 
 }  // namespace moonshot::chaos

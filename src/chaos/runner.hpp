@@ -1,14 +1,14 @@
 // Runs one (protocol, seed, schedule) chaos scenario and checks the full
 // invariant suite:
-//  * safety — cross-node commit-log consistency, checked both at the heal
-//    point and at the end of the run;
+//  * safety — cross-node commit-log consistency, checked at the end of the
+//    run (logs are append-only, so a divergence at any earlier point is
+//    still there);
 //  * conformance — behavioural rules over the message trace. Durably
 //    recovered nodes replay their votes from the WAL and refuse re-votes, so
 //    the rules hold for them too; only m=amnesia targets are exempt, since
 //    forgetting their votes is the point of that mode;
 //  * liveness after heal — every honest node's commit log must grow during
-//    the fault-free tail;
-//  * chain shape — committed heights are dense (no gaps).
+//    the fault-free tail.
 //
 // The report carries a determinism digest folding the commit logs, metrics
 // and the scheduler's execution fingerprint: two runs of the same
@@ -32,8 +32,8 @@ struct ChaosRunConfig {
   std::uint64_t seed = 1;
   FaultSchedule schedule;
   /// Number of actively Byzantine (equivocating) nodes — the highest node
-  /// ids. They propose conflicting blocks and double-vote; all safety and
-  /// chain-shape checks run over the honest remainder only.
+  /// ids. They propose conflicting blocks and double-vote; all safety
+  /// checks run over the honest remainder only.
   std::size_t byzantine = 0;
   /// Explicit leader rotation override (see ExperimentConfig::leader_order).
   /// Twins-style runs use it to hand the equivocator consecutive views.
@@ -62,11 +62,10 @@ struct ChaosRunConfig {
   /// bounds (src/adversary/oracle.hpp). Judges only views inside an adv()
   /// placement's blast radius, so it is meant for adversary-only schedules
   /// (smoke tests, bound calibration) — network faults stretch latency for
-  /// reasons the adversary bounds don't model.
+  /// reasons the adversary bounds don't model. The worst-case honest message
+  /// delay δ it assumes is Δ/4, conservative for LAN-like matrices under
+  /// Δ=500ms.
   bool latency_oracle = false;
-  /// Worst-case honest message delay δ fed to the oracle; 0 = Δ/4 (a
-  /// conservative default for LAN-like matrices under Δ=500ms).
-  Duration oracle_hop = Duration(0);
   /// When non-empty and any oracle latches, a flight recording (metrics,
   /// span tail, critical paths, event tail, replay command — see
   /// obs/flight.hpp) is written here, its rendered postmortem to the .txt
@@ -81,7 +80,6 @@ struct ChaosReport {
   bool safety_ok = true;
   bool liveness_ok = true;
   bool conformance_ok = true;
-  bool chain_shape_ok = true;
   bool latency_ok = true;  // latency-degradation oracle (when enabled)
   std::vector<std::string> violations;  // human-readable failure details
   /// Determinism digest: commit logs + metrics + scheduler fingerprint.
@@ -90,12 +88,16 @@ struct ChaosReport {
   View max_view = 0;
 
   bool ok() const {
-    return safety_ok && liveness_ok && conformance_ok && chain_shape_ok && latency_ok;
+    return safety_ok && liveness_ok && conformance_ok && latency_ok;
   }
   /// One-line failure summary ("" when ok()).
   std::string failure() const;
 };
 
 ChaosReport run_chaos(const ChaosRunConfig& cfg);
+
+/// The chaos_fuzz command line that replays `cfg`. The fields chaos_fuzz has
+/// no flag for (byzantine, leader_order, net, tracer) are not carried.
+std::string reproducer_command(const ChaosRunConfig& cfg);
 
 }  // namespace moonshot::chaos

@@ -178,6 +178,21 @@ void VoteAccumulator::drop(PerView& pv, Bucket& bucket, std::size_t i) {
   bucket.votes.erase(bucket.votes.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
+void VoteAccumulator::prune_below(View view) {
+  for (View v = window_.floor(); v < view; ++v) {
+    PerView* pv = window_.find(v);
+    if (!pv) break;
+    for (std::size_t s = 0; s < pv->resends.size(); ++s) {
+      if (pv->resends[s] == 0) continue;
+      // A counted re-send's vote is its voter's first of the kind.
+      Bucket& bucket = pv->buckets[pv->first[s] - 1];
+      const auto voter = static_cast<NodeId>(s % validators_->size());
+      if (bucket.member[voter] == kWaiting) settle_one(*pv, bucket, waiting_pos(bucket, voter));
+    }
+  }
+  window_.prune_below(view);
+}
+
 std::size_t VoteAccumulator::count(View view, VoteKind kind, const BlockId& block) {
   PerView* pv = window_.find(view);
   if (!pv) return 0;

@@ -137,7 +137,8 @@ class VoteAccumulator {
   /// Exact re-sends dropped by the dedupe fast path: same (view, kind,
   /// block, voter) seen again. Benign under retransmission, but a spike is
   /// evidence of replayed traffic. A re-send of a waiting vote counts at
-  /// once and is taken back if that vote turns out forged.
+  /// once and is taken back if that vote turns out forged, at the latest
+  /// when its view is pruned.
   std::uint64_t duplicates_dropped() const { return duplicates_dropped_; }
 
   /// (view, voter) pairs caught signing a vote badly: a batch culprit or a
@@ -153,7 +154,9 @@ class VoteAccumulator {
   std::size_t entries() const;
 
   /// Drops all state for views < `view` and refuses those views from now on.
-  void prune_below(View view) { window_.prune_below(view); }
+  /// A waiting vote with counted re-sends is settled singly first, so a
+  /// forged one's re-sends leave duplicates_dropped().
+  void prune_below(View view);
 
  private:
   enum Member : std::uint8_t { kAbsent = 0, kVerified, kWaiting };

@@ -175,11 +175,6 @@ QcPtr BaseNode::qc_for_view(View v) const {
   return it == qc_by_view_.end() ? nullptr : it->second;
 }
 
-void BaseNode::commit_chain(const BlockPtr& block) {
-  MOONSHOT_INVARIANT(block != nullptr, "commit of unknown block");
-  commit_chain_by_id(block->id());
-}
-
 void BaseNode::commit_chain_by_id(const BlockId& target_id) {
   const BlockPtr target = store_.get(target_id);
   if (!target) {
@@ -187,12 +182,12 @@ void BaseNode::commit_chain_by_id(const BlockId& target_id) {
     request_block(target_id);
     return;
   }
-  if (commit_log_.is_committed(target_id)) return;
+  if (commit_log_.is_committed(*target)) return;
 
   // Walk down to the last committed ancestor, collecting the chain.
   std::vector<BlockPtr> chain;
   BlockPtr cur = target;
-  while (!commit_log_.is_committed(cur->id())) {
+  while (!commit_log_.is_committed(*cur)) {
     chain.push_back(cur);
     if (cur->height() == 0) break;
     BlockPtr parent = store_.get(cur->parent());

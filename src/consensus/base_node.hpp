@@ -69,7 +69,6 @@ class BaseNode : public IConsensusNode {
   /// With no WAL, or a free fsync model, these send immediately.
   void multicast(MessagePtr m);
   void unicast(NodeId to, MessagePtr m);
-  bool halted() const { return halted_; }
 
   // --- tracing ---------------------------------------------------------------
   /// Emits a structured trace event when a tracer is attached. One pointer
@@ -156,10 +155,9 @@ class BaseNode : public IConsensusNode {
   /// The certificate recorded for a view, if any.
   QcPtr qc_for_view(View v) const;
 
-  /// Commits `block` and all its uncommitted ancestors (indirect commit).
-  /// Defers quietly if some ancestor's body has not arrived yet; the commit
-  /// resumes when the missing block is stored.
-  void commit_chain(const BlockPtr& block);
+  /// Commits the block `target_id` and all its uncommitted ancestors
+  /// (indirect commit). Defers quietly if some ancestor's body has not
+  /// arrived yet; the commit resumes when the missing block is stored.
   void commit_chain_by_id(const BlockId& target_id);
 
   /// Adds a block body to the store and flushes anything that was waiting on

@@ -1,5 +1,6 @@
 #include "exec/line_sink.hpp"
 
+#include <cstdarg>
 #include <utility>
 
 namespace moonshot::exec {
@@ -14,31 +15,19 @@ bool LineSink::set_tagged(bool on) {
   return std::exchange(tagged_, on);
 }
 
-void LineSink::vline(std::FILE* to, std::size_t world, const char* fmt,
-                     va_list args) {
+void LineSink::line(std::size_t world, const char* fmt, ...) {
   char msg[2048];
+  va_list args;
+  va_start(args, fmt);
   std::vsnprintf(msg, sizeof msg, fmt, args);
+  va_end(args);
   std::lock_guard<std::mutex> lock(mu_);
   if (tagged_) {
-    std::fprintf(to, "[w%02zu] %s", world, msg);
+    std::fprintf(stderr, "[w%02zu] %s", world, msg);
   } else {
-    std::fputs(msg, to);
+    std::fputs(msg, stderr);
   }
-  std::fflush(to);
-}
-
-void LineSink::line(std::size_t world, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  vline(stderr, world, fmt, args);
-  va_end(args);
-}
-
-void LineSink::linef(std::FILE* to, std::size_t world, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  vline(to, world, fmt, args);
-  va_end(args);
+  std::fflush(stderr);
 }
 
 void appendf(std::string& out, const char* fmt, ...) {

@@ -16,7 +16,6 @@
 //    byte-identical to the sequential run's.
 #pragma once
 
-#include <cstdarg>
 #include <cstddef>
 #include <cstdio>
 #include <mutex>
@@ -33,17 +32,13 @@ class LineSink {
   /// so a driver can restore it after its sweep.
   bool set_tagged(bool on);
 
-  /// One atomic line to `to` (default stderr), prefixed with the world id
-  /// when tagging is on. `fmt` should include the trailing newline, like
-  /// the fprintf calls it replaces.
+  /// One atomic line to stderr, prefixed with the world id when tagging is
+  /// on. `fmt` should include the trailing newline, like the fprintf calls
+  /// it replaces.
   void line(std::size_t world, const char* fmt, ...)
       __attribute__((format(printf, 3, 4)));
-  void linef(std::FILE* to, std::size_t world, const char* fmt, ...)
-      __attribute__((format(printf, 4, 5)));
 
  private:
-  void vline(std::FILE* to, std::size_t world, const char* fmt, va_list args);
-
   std::mutex mu_;
   bool tagged_ = false;  // guarded by mu_
 };

@@ -39,6 +39,9 @@ const char* violation_kind_name(ViolationKind v) {
 
 namespace {
 
+/// Natural-tail length for liveness checks, in multiples of delta.
+constexpr std::int64_t kLivenessTailDeltas = 64;
+
 /// Digest over (kind, detail). Both safety violation kinds latch at their
 /// first occurrence and liveness details are deterministic functions of the
 /// replayed prefix, so explore-time and replay-time digests match.
@@ -210,24 +213,8 @@ class Run {
 
   /// The enabled tagged events, canonicalized with per-key ordinals.
   std::vector<Choice> enabled() const {
-    std::map<std::tuple<char, std::uint32_t, std::uint32_t, std::uint32_t>, std::uint32_t>
-        counts;
     std::vector<Choice> out;
-    for (const sim::PendingEvent& pe : exp_->scheduler().frontier()) {
-      if (pe.tag.kind == sim::EventTag::Kind::kInternal) continue;
-      Choice c;
-      if (pe.tag.kind == sim::EventTag::Kind::kTimer) {
-        c.kind = 't';
-        c.to = pe.tag.node;
-      } else {
-        c.kind = 'd';
-        c.to = pe.tag.node;
-        c.from = pe.tag.peer;
-        c.type = pe.tag.type;
-      }
-      c.ordinal = counts[c.key()]++;
-      out.push_back(c);
-    }
+    for (const auto& [c, id] : frontier_choices()) out.push_back(c);
     return out;
   }
 
@@ -236,27 +223,14 @@ class Run {
   /// with the same key, and a complete miss is a no-op (shrunk schedules
   /// legitimately drop prerequisite events).
   bool apply(const Choice& c, bool lenient = false) {
-    std::map<std::tuple<char, std::uint32_t, std::uint32_t, std::uint32_t>, std::uint32_t>
-        counts;
-    sim::TaskId exact = 0;
-    sim::TaskId first_with_key = 0;
-    for (const sim::PendingEvent& pe : exp_->scheduler().frontier()) {
-      if (pe.tag.kind == sim::EventTag::Kind::kInternal) continue;
-      Choice f;
-      f.kind = pe.tag.kind == sim::EventTag::Kind::kTimer ? 't' : 'd';
-      f.to = pe.tag.node;
-      if (f.kind == 'd') {
-        f.from = pe.tag.peer;
-        f.type = pe.tag.type;
-      }
-      f.ordinal = counts[f.key()]++;
-      if (f.key() == c.key() && first_with_key == 0) first_with_key = pe.id;
+    sim::TaskId id = 0;
+    for (const auto& [f, task] : frontier_choices()) {
       if (f == c) {
-        exact = pe.id;
+        id = task;
         break;
       }
+      if (lenient && id == 0 && f.key() == c.key()) id = task;
     }
-    sim::TaskId id = exact ? exact : (lenient ? first_with_key : 0);
     if (id == 0) return false;
     exp_->scheduler().run_task(id);
     drain();
@@ -312,7 +286,7 @@ class Run {
       if (is_honest(id)) before[id] = exp_->node(id).commit_log().size();
 
     sim::Scheduler& s = exp_->scheduler();
-    s.run_until(s.now() + cfg_.delta * static_cast<std::int64_t>(cfg_.liveness_tail_deltas));
+    s.run_until(s.now() + cfg_.delta * kLivenessTailDeltas);
 
     // Safety first: a latched fork discovered during the tail outranks any
     // liveness judgement.
@@ -325,7 +299,7 @@ class Run {
       v.kind = ViolationKind::kLiveness;
       std::ostringstream os;
       os << "node " << id << ": no commit growth in a "
-         << cfg_.liveness_tail_deltas << "-delta fault-free tail (stuck at "
+         << kLivenessTailDeltas << "-delta fault-free tail (stuck at "
          << before[id] << " blocks, view " << exp_->node(id).current_view() << ")";
       v.detail = os.str();
       v.digest = violation_digest(v.kind, v.detail);
@@ -355,6 +329,27 @@ class Run {
   /// Eagerly runs all deterministic bookkeeping so the frontier holds only
   /// tagged choice points.
   void drain() { exp_->scheduler().run_internal(); }
+
+  /// The tagged frontier events in frontier order, each as its canonical
+  /// (kind, to, from, type, ordinal) choice with the task that runs it.
+  std::vector<std::pair<Choice, sim::TaskId>> frontier_choices() const {
+    std::map<std::tuple<char, std::uint32_t, std::uint32_t, std::uint32_t>, std::uint32_t>
+        counts;
+    std::vector<std::pair<Choice, sim::TaskId>> out;
+    for (const sim::PendingEvent& pe : exp_->scheduler().frontier()) {
+      if (pe.tag.kind == sim::EventTag::Kind::kInternal) continue;
+      Choice c;
+      c.kind = pe.tag.kind == sim::EventTag::Kind::kTimer ? 't' : 'd';
+      c.to = pe.tag.node;
+      if (c.kind == 'd') {
+        c.from = pe.tag.peer;
+        c.type = pe.tag.type;
+      }
+      c.ordinal = counts[c.key()]++;
+      out.emplace_back(c, pe.id);
+    }
+    return out;
+  }
 
   McConfig cfg_;
   obs::Tracer tracer_;

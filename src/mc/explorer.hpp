@@ -73,10 +73,8 @@ struct McConfig {
   /// Protocol Δ. Small: mc worlds run on a 1 ms uniform LAN.
   Duration delta = milliseconds(40);
   /// Check bounded view synchronization + commit growth on sampled leaves by
-  /// running a fault-free natural tail after the explored prefix.
+  /// running a 64Δ fault-free natural tail after the explored prefix.
   bool check_liveness = true;
-  /// Natural-tail length for liveness checks, in multiples of delta.
-  std::size_t liveness_tail_deltas = 64;
   /// Check liveness at every k-th leaf (tails are the expensive part).
   std::size_t liveness_sample_every = 16;
   /// Seeded protocol bug to arm for this exploration (mutation-validation

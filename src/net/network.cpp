@@ -16,7 +16,7 @@ SimNetwork::SimNetwork(sim::Scheduler& sched, std::size_t n, NetworkConfig cfg,
                        DeliverFn deliver)
     : sched_(sched),
       cfg_(std::move(cfg)),
-      regions_(n, std::min(cfg_.regions_used, cfg_.matrix.regions()), cfg_.interleave_regions),
+      regions_(n, std::min(cfg_.regions_used, cfg_.matrix.regions())),
       deliver_(std::move(deliver)),
       prng_(cfg_.seed ^ 0x6e657477u),
       egress_free_(n, TimePoint::zero()),

@@ -57,9 +57,6 @@ struct NetworkConfig {
   /// One-way propagation latencies between regions.
   LatencyMatrix matrix = LatencyMatrix::aws5();
   std::size_t regions_used = 5;  // nodes assigned evenly across these
-  /// Interleaved (id mod regions) vs blocked (contiguous ranges, default —
-  /// matches the paper's per-region instance groups) node placement.
-  bool interleave_regions = false;
   /// Multiplicative jitter: latency *= 1 + U(-jitter, +jitter).
   double jitter = 0.05;
   /// NIC rate, bits per second (paper: up to 10 Gbps on m5.large).
@@ -125,7 +122,6 @@ class SimNetwork final : public INetwork {
   /// recovery).
   void silence(NodeId node) { silenced_.at(node) = true; }
   void unsilence(NodeId node) { silenced_.at(node) = false; }
-  bool is_silenced(NodeId node) const { return silenced_.at(node); }
 
   /// The composable link-fault chain (partitions, drops, duplication, delay
   /// spikes). Faults added here apply to every subsequent point-to-point

@@ -46,18 +46,14 @@ class LatencyMatrix {
 };
 
 /// Assigns nodes to regions. The paper distributes nodes evenly across the
-/// five regions. Two layouts:
-///  * blocked (default) — contiguous id ranges per region, matching how the
-///    paper's deployment launched per-region instance groups;
-///  * interleaved — id mod regions, which spreads consecutive ids (and thus
-///    consecutive round-robin leaders) across regions.
+/// five regions in contiguous id ranges per region, matching how its
+/// deployment launched per-region instance groups.
 class RegionAssignment {
  public:
-  RegionAssignment(std::size_t nodes, std::size_t regions, bool interleaved = false)
-      : nodes_(nodes), regions_(regions), interleaved_(interleaved) {}
+  RegionAssignment(std::size_t nodes, std::size_t regions)
+      : nodes_(nodes), regions_(regions) {}
 
   RegionId region_of(NodeId id) const {
-    if (interleaved_) return static_cast<RegionId>(id % regions_);
     const std::size_t per = (nodes_ + regions_ - 1) / regions_;
     return static_cast<RegionId>(std::min(id / per, regions_ - 1));
   }
@@ -67,7 +63,6 @@ class RegionAssignment {
  private:
   std::size_t nodes_;
   std::size_t regions_;
-  bool interleaved_;
 };
 
 }  // namespace moonshot::net

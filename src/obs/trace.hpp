@@ -105,19 +105,14 @@ class Tracer {
   /// same seeded simulation yield the same digest.
   std::uint64_t digest() const { return digest_; }
 
-  /// Per-replica digest covering that node's event *content and local order*
-  /// but neither timestamps nor the global sequence: two executions in which
-  /// node `i` observed the same events in the same order — at different
-  /// absolute times, interleaved differently with other nodes — fold to the
-  /// same value. The model checker (src/mc/) combines these into a state key
-  /// for cross-interleaving deduplication.
-  std::uint64_t node_digest(NodeId node) const {
-    return node < node_digests_.size() ? node_digests_[node] : 0;
-  }
-
-  /// Commutative-across-nodes combination of every replica's node_digest():
-  /// identifies an execution state up to per-node observation order. The
-  /// environment ring is excluded (it records scheduler noise).
+  /// Commutative-across-nodes combination of per-replica digests, each
+  /// covering that node's event *content and local order* but neither
+  /// timestamps nor the global sequence: two executions in which every node
+  /// observed the same events in the same order — at different absolute
+  /// times, interleaved differently with other nodes — fold to the same
+  /// value. The model checker (src/mc/) uses it as the state key for
+  /// cross-interleaving deduplication. The environment ring is excluded (it
+  /// records scheduler noise).
   std::uint64_t state_digest() const {
     std::uint64_t acc = kFnv1aOffsetBasis;
     for (std::size_t i = 0; i < node_digests_.size(); ++i) {

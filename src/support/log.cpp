@@ -1,45 +1,17 @@
 #include "support/log.hpp"
 
-#include <atomic>
+#include <cstdarg>
 #include <cstdio>
 
 namespace moonshot {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-
-const char* level_name(LogLevel l) {
-  switch (l) {
-    case LogLevel::kTrace: return "TRACE";
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO ";
-    case LogLevel::kWarn: return "WARN ";
-    case LogLevel::kError: return "ERROR";
-    default: return "?";
-  }
-}
-
-class StderrSink final : public LogSink {
- public:
-  void write(LogLevel /*level*/, const char* line) override {
-    std::fprintf(stderr, "%s\n", line);
-  }
-};
-
-StderrSink g_stderr_sink;
-std::atomic<LogSink*> g_sink{&g_stderr_sink};
 // The log clock is thread-confined: each Experiment registers its own
 // scheduler on the thread that runs it, so concurrent worlds stamp their
 // lines with their own simulated time instead of racing on one global.
 thread_local LogClockFn g_clock_fn = nullptr;
 thread_local const void* g_clock_ctx = nullptr;
 }  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
-void set_log_sink(LogSink* sink) { g_sink.store(sink ? sink : &g_stderr_sink); }
-LogSink* log_sink() { return g_sink.load(); }
 
 void set_log_clock(LogClockFn fn, const void* ctx) {
   g_clock_fn = fn;
@@ -54,21 +26,19 @@ void clear_log_clock(const void* ctx) {
 }
 
 void log_at(LogLevel level, const char* fmt, ...) {
-  if (static_cast<int>(level) < g_level.load()) return;
   char msg[1024];
   va_list args;
   va_start(args, fmt);
   std::vsnprintf(msg, sizeof msg, fmt, args);
   va_end(args);
 
-  char line[1152];
+  const char* name = level == LogLevel::kWarn ? "WARN " : "ERROR";
   if (g_clock_fn) {
     const double secs = static_cast<double>(g_clock_fn(g_clock_ctx)) / 1e9;
-    std::snprintf(line, sizeof line, "[%10.6fs] [%s] %s", secs, level_name(level), msg);
+    std::fprintf(stderr, "[%10.6fs] [%s] %s\n", secs, name, msg);
   } else {
-    std::snprintf(line, sizeof line, "[%s] %s", level_name(level), msg);
+    std::fprintf(stderr, "[%s] %s\n", name, msg);
   }
-  g_sink.load()->write(level, line);
 }
 
 }  // namespace moonshot

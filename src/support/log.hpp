@@ -1,37 +1,16 @@
-// Minimal leveled logging.
+// Warning and error lines on stderr.
 //
-// Protocol code logs through this instead of writing to streams directly so
-// that large simulations can run silently and tests can raise verbosity for
-// a single failing scenario. Output goes through a pluggable sink (default:
-// stderr); when a simulated clock is registered (the Experiment registers its
+// Protocol code logs through this instead of writing to streams directly.
+// When a simulated clock is registered (the Experiment registers its
 // scheduler), every line is stamped with simulated time, so log output lines
 // up with trace timestamps.
 #pragma once
 
-#include <cstdarg>
 #include <cstdint>
-#include <string>
 
 namespace moonshot {
 
-enum class LogLevel : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4, kOff = 5 };
-
-/// Global log threshold; messages below it are discarded. Defaults to kWarn.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Receives fully formatted log lines (stamp + level + message, no trailing
-/// newline). Implementations must not call back into the logger.
-class LogSink {
- public:
-  virtual ~LogSink() = default;
-  virtual void write(LogLevel level, const char* line) = 0;
-};
-
-/// Installs a sink; null restores the default stderr sink. The caller keeps
-/// ownership and must outlive its installation.
-void set_log_sink(LogSink* sink);
-LogSink* log_sink();
+enum class LogLevel : int { kWarn, kError };
 
 /// Registers a simulated-time source for line stamps: `fn(ctx)` returns
 /// nanoseconds of simulated time. Plain function pointer + context so the
@@ -44,19 +23,10 @@ void set_log_clock(LogClockFn fn, const void* ctx);
 /// owner deregister on destruction without clobbering a successor's clock.
 void clear_log_clock(const void* ctx);
 
-/// printf-style logging. Cheap when the level is filtered out.
+/// printf-style logging: one stamped line on stderr.
 void log_at(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
-#define MOONSHOT_LOG(level, ...)                                     \
-  do {                                                               \
-    if (static_cast<int>(level) >= static_cast<int>(::moonshot::log_level())) \
-      ::moonshot::log_at(level, __VA_ARGS__);                        \
-  } while (0)
-
-#define LOG_TRACE(...) MOONSHOT_LOG(::moonshot::LogLevel::kTrace, __VA_ARGS__)
-#define LOG_DEBUG(...) MOONSHOT_LOG(::moonshot::LogLevel::kDebug, __VA_ARGS__)
-#define LOG_INFO(...) MOONSHOT_LOG(::moonshot::LogLevel::kInfo, __VA_ARGS__)
-#define LOG_WARN(...) MOONSHOT_LOG(::moonshot::LogLevel::kWarn, __VA_ARGS__)
-#define LOG_ERROR(...) MOONSHOT_LOG(::moonshot::LogLevel::kError, __VA_ARGS__)
+#define LOG_WARN(...) ::moonshot::log_at(::moonshot::LogLevel::kWarn, __VA_ARGS__)
+#define LOG_ERROR(...) ::moonshot::log_at(::moonshot::LogLevel::kError, __VA_ARGS__)
 
 }  // namespace moonshot

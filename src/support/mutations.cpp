@@ -37,7 +37,6 @@ namespace {
 std::atomic<Mutation> g_active{Mutation::kNone};
 }  // namespace
 
-Mutation active_mutation() { return g_active.load(std::memory_order_relaxed); }
 void set_active_mutation(Mutation m) { g_active.store(m, std::memory_order_relaxed); }
 bool mutation_on(Mutation m) { return g_active.load(std::memory_order_relaxed) == m; }
 

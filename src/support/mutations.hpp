@@ -38,9 +38,8 @@ Mutation parse_mutation(std::string_view name);
 
 #ifdef MOONSHOT_MUTATIONS
 
-/// The process-wide active mutation (model-checking worlds are
+/// Selects the process-wide active mutation (model-checking worlds are
 /// single-threaded; one experiment runs at a time).
-Mutation active_mutation();
 void set_active_mutation(Mutation m);
 
 /// Hot-path hook: true iff `m` is the active mutation.

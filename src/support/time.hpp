@@ -9,7 +9,6 @@
 #include <compare>
 #include <cstdint>
 #include <limits>
-#include <string>
 
 namespace moonshot {
 
@@ -42,14 +41,6 @@ struct TimePoint {
   }
   friend constexpr auto operator<=>(TimePoint a, TimePoint b) = default;
 };
-
-/// Formats a duration as fractional milliseconds, e.g. "12.500ms".
-inline std::string format_ms(Duration d) {
-  const double ms = static_cast<double>(d.count()) / 1e6;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3fms", ms);
-  return buf;
-}
 
 inline double to_ms(Duration d) { return static_cast<double>(d.count()) / 1e6; }
 inline double to_seconds(Duration d) { return static_cast<double>(d.count()) / 1e9; }

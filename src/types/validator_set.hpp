@@ -33,7 +33,6 @@ class ValidatorSet {
   bool contains(NodeId id) const { return id < keys_.size(); }
   const crypto::PublicKey& key(NodeId id) const { return keys_.at(id); }
   const crypto::SignatureScheme& scheme() const { return *scheme_; }
-  std::shared_ptr<const crypto::SignatureScheme> scheme_ptr() const { return scheme_; }
 
   /// Hash of (scheme name, all public keys in order), computed once at
   /// construction. Binds verified-certificate cache entries to the exact key

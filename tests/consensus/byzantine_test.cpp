@@ -111,7 +111,7 @@ TEST_P(EquivocatorPlacementTest, SafeUnderChaosSeeds) {
       cfg.seed = seed;
       cfg.check_liveness = false;  // adversary-led views stall legitimately
       const chaos::ChaosReport report = chaos::run_chaos(cfg);
-      EXPECT_TRUE(report.safety_ok && report.chain_shape_ok)
+      EXPECT_TRUE(report.safety_ok)
           << protocol_name(GetParam()) << " seed " << seed << ": "
           << report.failure();
       // Progress: every protocol commits through honest views — except

@@ -182,13 +182,6 @@ void differential_fuzz(std::shared_ptr<const crypto::SignatureScheme> scheme,
     for (std::size_t step = 0; step < steps; ++step) {
       if (prng.next_below(10) == 0) {  // the node enters a later view and prunes
         current += 1 + prng.next_below(2);
-        // A re-send of a waiting vote counts as a duplicate at once and is
-        // taken back only if that vote is found forged, so a view pruned
-        // unsettled keeps the count the eager reference may not have.
-        // Settling first keeps the counters comparable.
-        for (View v = floor; v < current - 2; ++v)
-          for (const VoteKind k : kinds)
-            for (const BlockId& b : blocks) batched.count(v, k, b);
         floor = current - 2;
         batched.prune_below(floor);
         eager.prune_below(floor);

@@ -19,16 +19,42 @@ TEST(CommitLog, CommitsInOrder) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.last_height(), 2u);
   EXPECT_EQ(log.last_id(), b2->id());
-  EXPECT_TRUE(log.is_committed(b1->id()));
-  EXPECT_TRUE(log.is_committed(b2->id()));
+  EXPECT_TRUE(log.is_committed(*b1));
+  EXPECT_TRUE(log.is_committed(*b2));
 }
 
 TEST(CommitLog, GenesisImplicitlyCommitted) {
   CommitLog log;
-  EXPECT_TRUE(log.is_committed(Block::genesis()->id()));
+  EXPECT_TRUE(log.is_committed(*Block::genesis()));
   EXPECT_EQ(log.last_id(), Block::genesis()->id());
   log.commit(Block::genesis(), TimePoint{});  // no-op
   EXPECT_EQ(log.size(), 0u);
+  const auto b1 = make_child(Block::genesis(), 1);
+  log.commit(b1, TimePoint{});
+  log.commit(make_child(b1, 2), TimePoint{});
+  EXPECT_TRUE(log.is_committed(*Block::genesis()));
+  // Height 0 alone does not make a block genesis.
+  EXPECT_FALSE(log.is_committed(*Block::create(0, 0, Block::genesis()->id(),
+                                               Payload::synthetic(10, 7))));
+}
+
+TEST(CommitLog, SiblingAtACommittedHeightIsNotCommitted) {
+  CommitLog log;
+  const auto b1 = make_child(Block::genesis(), 1);
+  const auto b2 = make_child(b1, 2);
+  log.commit(b1, TimePoint{});
+  log.commit(b2, TimePoint{});
+  EXPECT_FALSE(log.is_committed(*make_child(Block::genesis(), 3)));  // height 1
+  EXPECT_FALSE(log.is_committed(*make_child(b1, 4)));                // height 2
+}
+
+TEST(CommitLog, BlockAboveTheTipIsNotCommitted) {
+  CommitLog log;
+  const auto b1 = make_child(Block::genesis(), 1);
+  const auto b2 = make_child(b1, 2);
+  log.commit(b1, TimePoint{});
+  EXPECT_FALSE(log.is_committed(*b2));
+  EXPECT_FALSE(log.is_committed(*make_child(b2, 3)));
 }
 
 TEST(CommitLog, CallbackFires) {

@@ -31,29 +31,19 @@ TEST(LatencyMatrix, UniformMatrix) {
     for (RegionId b = 0; b < 3; ++b) EXPECT_EQ(m.one_way(a, b), milliseconds(10));
 }
 
-TEST(RegionAssignment, Interleaved) {
-  RegionAssignment a(10, 5, /*interleaved=*/true);
-  EXPECT_EQ(a.region_of(0), 0u);
-  EXPECT_EQ(a.region_of(4), 4u);
-  EXPECT_EQ(a.region_of(5), 0u);
-  EXPECT_EQ(a.region_of(9), 4u);
-}
-
 TEST(RegionAssignment, BlockedContiguousRanges) {
-  RegionAssignment a(10, 5);  // default: blocked, 2 per region
+  RegionAssignment a(10, 5);  // 2 per region
   EXPECT_EQ(a.region_of(0), 0u);
   EXPECT_EQ(a.region_of(1), 0u);
   EXPECT_EQ(a.region_of(2), 1u);
   EXPECT_EQ(a.region_of(9), 4u);
 }
 
-TEST(RegionAssignment, EvenDistributionBothModes) {
-  for (bool interleaved : {false, true}) {
-    RegionAssignment a(200, 5, interleaved);
-    std::vector<int> counts(5, 0);
-    for (NodeId i = 0; i < 200; ++i) counts[a.region_of(i)]++;
-    for (int c : counts) EXPECT_EQ(c, 40);
-  }
+TEST(RegionAssignment, EvenDistribution) {
+  RegionAssignment a(200, 5);
+  std::vector<int> counts(5, 0);
+  for (NodeId i = 0; i < 200; ++i) counts[a.region_of(i)]++;
+  for (int c : counts) EXPECT_EQ(c, 40);
 }
 
 TEST(RegionAssignment, BlockedHandlesUnevenCounts) {
